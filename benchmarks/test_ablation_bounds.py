@@ -8,6 +8,9 @@ what the R-tree baseline does) and compares the verification work performed.
 
 from __future__ import annotations
 
+import math
+import time
+
 import pytest
 from conftest import BENCH_CONFIG
 
@@ -49,18 +52,32 @@ def test_bounds_reduce_verified_datasets(benchmark, setup):
           f"(corpus size {corpus_size})")
 
 
+#: Five queries take ~0.3 ms a side, which is scheduler noise, not a
+#: measurement: one reading runs the panel this many times over.
+PANEL_REPEATS = 20
+#: Interleaved readings per side; the minimum is the least disturbed one.
+TIMING_ROUNDS = 25
+
+
 def test_bounded_search_not_slower_than_mbr_only(benchmark, setup):
     """End-to-end: the bound-assisted search beats MBR-only filtering."""
     with_bounds, mbr_only, queries, _ = setup
-    import time
+    panel = queries * PANEL_REPEATS
 
     def timed(method):
         start = time.perf_counter()
-        for query in queries:
+        for query in panel:
             method.search(OverlapQuery(query=query, k=5))
         return (time.perf_counter() - start) * 1000.0
 
-    bounded_ms = benchmark.pedantic(lambda: timed(with_bounds), rounds=1, iterations=1)
-    mbr_ms = timed(mbr_only)
-    print(f"\nbounded search {bounded_ms:.2f} ms vs MBR-only {mbr_ms:.2f} ms")
+    # Warm both sides, then alternate them so a burst of machine noise cannot
+    # land on one side only.
+    benchmark.pedantic(timed, args=(with_bounds,), rounds=1, iterations=1)
+    timed(mbr_only)
+    bounded_ms = mbr_ms = math.inf
+    for _ in range(TIMING_ROUNDS):
+        bounded_ms = min(bounded_ms, timed(with_bounds))
+        mbr_ms = min(mbr_ms, timed(mbr_only))
+    print(f"\nbounded search {bounded_ms:.2f} ms vs MBR-only {mbr_ms:.2f} ms "
+          f"(best of {TIMING_ROUNDS}, {len(panel)} queries)")
     assert bounded_ms <= mbr_ms * 1.5

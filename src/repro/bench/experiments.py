@@ -9,6 +9,7 @@ matching Table II of the paper, scaled to the synthetic corpora.
 
 from __future__ import annotations
 
+import gc
 import zlib
 from typing import Sequence
 
@@ -132,6 +133,9 @@ def fig8_index_construction(
         nodes = bench.all_nodes()
         for index_name, index_cls in DATASET_INDEX_CLASSES.items():
             index = index_cls()
+            # Collect the previous build's garbage now: inside this build's
+            # single timed run a full collection costs as much as the build.
+            gc.collect()
             elapsed_ms, _ = time_call(lambda idx=index: idx.build(nodes))
             rows.append(
                 {

@@ -22,9 +22,8 @@ Responses are aggregated in candidate order regardless of completion order,
 so parallel and serial dispatch return bit-identical results and byte totals.
 
 DITS-G itself is sharded (:class:`~repro.index.dits_global_sharded.ShardedDITSGlobalIndex`):
-source registration only rebuilds the touched shard, and candidate pruning
-for large federations fans out across shards over the same dispatcher used
-for per-source requests.  Shard count 1 reproduces the monolithic tree.
+source registration only rebuilds the touched shard.  Shard count 1
+reproduces the monolithic tree.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
+from typing import Callable, Collection, Mapping, TypeVar
 
 import numpy as np
 
@@ -43,20 +43,17 @@ from repro.core.grid import Grid
 from repro.core.problems import CoverageResult, OverlapResult, ScoredDataset
 from repro.distributed.channel import SimulatedChannel
 from repro.distributed.executor import ExecutionPolicy, SourceDispatcher
-from repro.distributed.messages import (
-    CoverageRequest,
-    CoverageResponse,
-    OverlapRequest,
-    OverlapResponse,
-    RootUpload,
-)
-from repro.distributed.source import DataSource
+from repro.distributed.messages import CoverageRequest, OverlapRequest
+from repro.distributed.source import DataSource, grid_rect_to_geo
 from repro.index.dits_global import SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
-from repro.utils import cellsets
+from repro.search.coverage import GreedyCover
 from repro.utils.heaps import BoundedTopK
 
 __all__ = ["DataCenter", "DistributionPolicy"]
+
+_Request = TypeVar("_Request", OverlapRequest, CoverageRequest)
+_Response = TypeVar("_Response")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,12 +124,8 @@ class DataCenter:
         self._sources_lock = threading.Lock()
         self._query_counter = itertools.count()
         self._dispatcher = SourceDispatcher(execution)
-        # DITS-G is sharded by default; shard pruning reuses the per-source
-        # dispatch pool, so global routing and request fan-out share threads.
         self._global_index = ShardedDITSGlobalIndex(
-            policy=shard_policy,
-            leaf_capacity=global_leaf_capacity,
-            dispatcher=self._dispatcher,
+            policy=shard_policy, leaf_capacity=global_leaf_capacity
         )
 
     @property
@@ -149,13 +142,7 @@ class DataCenter:
     # ------------------------------------------------------------------ #
     def register_source(self, source: DataSource) -> None:
         """Register ``source``: receive its root upload and add it to DITS-G."""
-        upload: RootUpload = source.root_upload()
-        self.channel.send(upload, destination=source.source_id, to_center=True)
-        summary = SourceSummary(
-            source_id=upload.source_id,
-            rect=BoundingBox(*upload.rect),
-            dataset_count=upload.dataset_count,
-        )
+        summary = self._receive_root_upload(source)
         # The source must be resolvable before it becomes routable: queries
         # racing this registration may see the summary as soon as it lands
         # in DITS-G and immediately dispatch a request to the source.  The
@@ -173,15 +160,16 @@ class DataCenter:
         query routing stays correct (Appendix IX-C applied at the global
         level).
         """
-        source = self.source(source_id)
-        upload: RootUpload = source.root_upload()
-        self.channel.send(upload, destination=source_id, to_center=True)
-        self._global_index.register(
-            SourceSummary(
-                source_id=upload.source_id,
-                rect=BoundingBox(*upload.rect),
-                dataset_count=upload.dataset_count,
-            )
+        self._global_index.register(self._receive_root_upload(self.source(source_id)))
+
+    def _receive_root_upload(self, source: DataSource) -> SourceSummary:
+        """Have ``source`` upload its root summary; the DITS-G entry it describes."""
+        upload = source.root_upload()
+        self.channel.send(upload, destination=source.source_id, to_center=True)
+        return SourceSummary(
+            source_id=upload.source_id,
+            rect=BoundingBox(*upload.rect),
+            dataset_count=upload.dataset_count,
         )
 
     def source_ids(self) -> list[str]:
@@ -207,54 +195,25 @@ class DataCenter:
     # ------------------------------------------------------------------ #
     def overlap_search(self, query: DatasetNode, k: int) -> OverlapResult:
         """Run multi-source OJSP for ``query`` (cells in the center's grid)."""
-        query_id = f"q{next(self._query_counter)}"
-        query_geo_rect = self._grid_rect_to_geo(query.rect)
-        candidates = self._candidate_sources(query_geo_rect, delta_geo=0.0)
-        cell_view = _QueryCellView(query, self.grid)
-
-        tasks: list[tuple[SourceSummary, OverlapRequest]] = []
-        for summary in candidates:
-            cells = (
-                cell_view.clipped_to(summary.rect)
-                if self.policy.clip_query
-                else cell_view.full
-            )
-            if not cells:
-                continue
-            tasks.append(
-                (
-                    summary,
-                    OverlapRequest(
-                        query_id=query_id,
-                        cells=cells,
-                        query_rect=query_geo_rect.as_tuple(),
-                        k=k,
-                    ),
-                )
-            )
-
-        responses = self._dispatcher.map(self._execute_overlap, tasks)
+        answers = self._fan_out(
+            query,
+            0.0,
+            lambda query_id, cells, rect: OverlapRequest(
+                query_id=query_id, cells=cells, query_rect=rect, k=k
+            ),
+            lambda source, request: source.handle_overlap(request, self.grid),
+        )
 
         heap: BoundedTopK[tuple[str, str]] = BoundedTopK(k)
-        for (summary, _request), response in zip(tasks, responses):
+        for source_id, response in answers:
             for dataset_id, score in response.results:
-                heap.push(score, (summary.source_id, dataset_id))
+                heap.push(score, (source_id, dataset_id))
 
         entries = tuple(
             ScoredDataset(dataset_id=dataset_id, score=score, source_id=source_id)
             for score, (source_id, dataset_id) in heap.items()
         )
         return OverlapResult(entries=entries)
-
-    def _execute_overlap(
-        self, task: tuple[SourceSummary, OverlapRequest]
-    ) -> OverlapResponse:
-        summary, request = task
-        source = self.source(summary.source_id)
-        self.channel.send(request, destination=summary.source_id)
-        response = source.handle_overlap(request, self.grid)
-        self.channel.send(response, destination=summary.source_id, to_center=True)
-        return response
 
     # ------------------------------------------------------------------ #
     # Coverage joinable search (CJSP)
@@ -268,59 +227,28 @@ class DataCenter:
         proposals, enforcing connectivity against the merged result, so the
         returned set is connected and at most ``k`` large.
         """
-        query_id = f"q{next(self._query_counter)}"
-        delta_geo = self._delta_to_geo(delta)
-        query_geo_rect = self._grid_rect_to_geo(query.rect)
-        candidates = self._candidate_sources(query_geo_rect, delta_geo=delta_geo)
-        cell_view = _QueryCellView(query, self.grid)
+        answers = self._fan_out(
+            query,
+            self._delta_to_geo(delta),
+            lambda query_id, cells, rect: CoverageRequest(
+                query_id=query_id, cells=cells, query_rect=rect, k=k, delta=delta
+            ),
+            lambda source, request: source.handle_coverage(request, self.grid),
+        )
 
-        tasks: list[tuple[SourceSummary, CoverageRequest]] = []
-        for summary in candidates:
-            cells = (
-                cell_view.clipped_to(summary.rect.expanded(delta_geo))
-                if self.policy.clip_query
-                else cell_view.full
-            )
-            if not cells:
-                continue
-            tasks.append(
-                (
-                    summary,
-                    CoverageRequest(
-                        query_id=query_id,
-                        cells=cells,
-                        query_rect=query_geo_rect.as_tuple(),
-                        k=k,
-                        delta=delta,
-                    ),
-                )
-            )
-
-        responses = self._dispatcher.map(self._execute_coverage, tasks)
-
-        proposals: dict[str, tuple[str, frozenset[int]]] = {}
-        for (summary, _request), response in zip(tasks, responses):
+        proposals: dict[str, tuple[str, tuple[int, ...]]] = {}
+        for source_id, response in answers:
             for dataset_id, cell_tuple in response.selections:
-                proposals[dataset_id] = (summary.source_id, frozenset(cell_tuple))
+                proposals[dataset_id] = (source_id, cell_tuple)
 
         return self._aggregate_coverage(query, k, delta, proposals)
-
-    def _execute_coverage(
-        self, task: tuple[SourceSummary, CoverageRequest]
-    ) -> CoverageResponse:
-        summary, request = task
-        source = self.source(summary.source_id)
-        self.channel.send(request, destination=summary.source_id)
-        response = source.handle_coverage(request, self.grid)
-        self.channel.send(response, destination=summary.source_id, to_center=True)
-        return response
 
     def _aggregate_coverage(  # parity-critical
         self,
         query: DatasetNode,
         k: int,
         delta: float,
-        proposals: dict[str, tuple[str, frozenset[int]]],
+        proposals: Mapping[str, tuple[str, Collection[int]]],
     ) -> CoverageResult:
         """Final greedy pass over the union of per-source proposals.
 
@@ -330,94 +258,89 @@ class DataCenter:
         against the member added last round.  Each round's untested
         candidates are settled with the Lemma 4 bounds where decisive and one
         batched δ-bounded distance-engine call for the remainder, instead of
-        per-candidate exact distances.  Marginal gains run on the vectorized
-        cell-set kernels instead of rebuilding ``candidate.cells - covered``
-        frozensets each round.  Selections and tie-breaks are identical to
-        the exhaustive per-round rescan.
+        per-candidate exact distances.  Selections and tie-breaks are
+        identical to the exhaustive per-round rescan.
         """
-        candidate_nodes: dict[str, DatasetNode] = {}
-        source_of: dict[str, str] = {}
-        for dataset_id, (source_id, cells) in proposals.items():
-            if not cells:
-                continue
-            candidate_nodes[dataset_id] = DatasetNode.from_cells(dataset_id, cells, self.grid)
-            source_of[dataset_id] = source_id
-
-        use_vector = cellsets.use_vector()
-        covered: set[int] = set() if use_vector else set(query.cells)
-        covered_array = query.cells_array if use_vector else None
-        entries: list[ScoredDataset] = []
-        remaining = dict(candidate_nodes)
-        ordered_ids = sorted(remaining)
+        # Ascending id, the order GreedyCover.pick takes its candidates in.
+        remaining = {
+            dataset_id: DatasetNode.from_cells(dataset_id, proposals[dataset_id][1], self.grid)
+            for dataset_id in sorted(proposals)
+            if proposals[dataset_id][1]
+        }
+        cover = GreedyCover(query)
         connected_ids: set[str] = set()
         last_member = query
 
         for _ in range(k):
             untested = [
-                (dataset_id, node)
-                for dataset_id in ordered_ids
-                if (node := remaining.get(dataset_id)) is not None
-                and dataset_id not in connected_ids
+                node for dataset_id, node in remaining.items() if dataset_id not in connected_ids
             ]
             if untested:
-                mask = get_engine().connected_mask(
-                    last_member, [node for _, node in untested], delta
-                )
+                mask = get_engine().connected_mask(last_member, untested, delta)
                 connected_ids.update(
-                    dataset_id for (dataset_id, _), ok in zip(untested, mask) if ok
+                    node.dataset_id for node, ok in zip(untested, mask) if ok
                 )
-            best_id: str | None = None
-            best_gain = 0
-            for dataset_id in ordered_ids:
-                node = remaining.get(dataset_id)
-                if node is None:
-                    continue
-                if dataset_id not in connected_ids:
-                    continue
-                if use_vector:
-                    gain = cellsets.difference_size(node.cells_array, covered_array)
-                else:
-                    gain = len(node.cells - covered)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_id = dataset_id
-            if best_id is None or best_gain == 0:
-                break
-            node = remaining.pop(best_id)
-            connected_ids.discard(best_id)
-            if use_vector:
-                covered_array = cellsets.union(covered_array, node.cells_array)
-            else:
-                covered |= node.cells
-            last_member = node
-            entries.append(
-                ScoredDataset(
-                    dataset_id=best_id, score=float(best_gain), source_id=source_of[best_id]
-                )
+            picked = cover.pick(
+                node for dataset_id, node in remaining.items() if dataset_id in connected_ids
             )
+            if picked is None:
+                break
+            last_member, gain = picked
+            del remaining[last_member.dataset_id]
+            cover.add(last_member, gain, source_id=proposals[last_member.dataset_id][0])
 
-        total_coverage = int(covered_array.size) if use_vector else len(covered)
-        return CoverageResult(
-            entries=tuple(entries),
-            total_coverage=total_coverage,
-            query_coverage=len(query.cells),
-        )
+        return cover.result()
 
     # ------------------------------------------------------------------ #
     # Distribution strategy helpers
     # ------------------------------------------------------------------ #
+    def _fan_out(
+        self,
+        query: DatasetNode,
+        delta_geo: float,
+        make_request: Callable[[str, tuple[int, ...], tuple[float, float, float, float]], _Request],
+        handle: Callable[[DataSource, _Request], _Response],
+    ) -> list[tuple[str, _Response]]:
+        """Route, clip and dispatch one query; ``(source_id, response)`` in candidate order.
+
+        ``delta_geo`` widens both the routing predicate and the clip window
+        (CJSP reaches datasets within the connectivity threshold of a
+        source's region; OJSP is ``delta_geo = 0``).  ``make_request`` builds
+        the per-source message from the query id, the clipped cells and the
+        query's geographic MBR; ``handle`` runs it at the source.
+        """
+        query_id = f"q{next(self._query_counter)}"
+        query_geo_rect = grid_rect_to_geo(self.grid, query.rect)
+        candidates = self._candidate_sources(query_geo_rect, delta_geo)
+        cell_view = _QueryCellView(query, self.grid)
+        rect = query_geo_rect.as_tuple()
+
+        tasks: list[tuple[str, _Request]] = []
+        for summary in candidates:
+            cells = (
+                cell_view.clipped_to(summary.rect.expanded(delta_geo))
+                if self.policy.clip_query
+                else cell_view.full
+            )
+            if not cells:
+                continue
+            tasks.append((summary.source_id, make_request(query_id, cells, rect)))
+
+        def execute(task: tuple[str, _Request]) -> _Response:
+            source_id, request = task
+            source = self.source(source_id)
+            self.channel.send(request, destination=source_id)
+            response = handle(source, request)
+            self.channel.send(response, destination=source_id, to_center=True)
+            return response
+
+        responses = self._dispatcher.map(execute, tasks)
+        return [(source_id, response) for (source_id, _), response in zip(tasks, responses)]
+
     def _candidate_sources(self, query_geo_rect: BoundingBox, delta_geo: float) -> list[SourceSummary]:
         if self.policy.route_to_candidates:
             return self._global_index.candidate_sources(query_geo_rect, delta_geo)
         return list(self._global_index.all_summaries())
-
-    def _grid_rect_to_geo(self, rect: BoundingBox) -> BoundingBox:
-        return BoundingBox(
-            self.grid.space.min_x + rect.min_x * self.grid.cell_width,
-            self.grid.space.min_y + rect.min_y * self.grid.cell_height,
-            self.grid.space.min_x + (rect.max_x + 1) * self.grid.cell_width,
-            self.grid.space.min_y + (rect.max_y + 1) * self.grid.cell_height,
-        )
 
     def _delta_to_geo(self, delta: float) -> float:
         """Convert a connectivity threshold in cell units to geographic units."""

@@ -11,10 +11,7 @@ cells that intersects the target source's region, not the whole query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-from repro.core.geometry import BoundingBox
+from dataclasses import dataclass
 
 __all__ = [
     "RootUpload",
@@ -76,21 +73,13 @@ class OverlapResponse:
 
 @dataclass(frozen=True, slots=True)
 class CoverageRequest:
-    """A CJSP request sent from the data center to one candidate source.
-
-    ``known_cells`` carries the cells already covered by the data center's
-    partial result so the source can compute true marginal gains; it is
-    clipped to the source's region for the same byte-saving reason as the
-    query cells.
-    """
+    """A CJSP request sent from the data center to one candidate source."""
 
     query_id: str
     cells: tuple[int, ...]
     query_rect: tuple[float, float, float, float]
     k: int
     delta: float
-    known_cells: tuple[int, ...] = field(default=())
-    exclude_ids: tuple[str, ...] = field(default=())
 
     def wire_payload(self) -> dict[str, object]:
         """Payload used for byte accounting."""
@@ -100,8 +89,6 @@ class CoverageRequest:
             "rect": list(self.query_rect),
             "k": self.k,
             "delta": self.delta,
-            "known": list(self.known_cells),
-            "exclude": list(self.exclude_ids),
         }
 
 
@@ -122,18 +109,3 @@ class CoverageResponse:
                 [dataset_id, list(cells)] for dataset_id, cells in self.selections
             ],
         }
-
-
-def clip_cells_to_rect(
-    cells: Sequence[int], cell_coords: Sequence[tuple[int, int]], rect: BoundingBox
-) -> list[int]:
-    """Keep the cells whose grid coordinates fall inside ``rect``.
-
-    Helper shared by the data center's clipping strategy; ``cell_coords`` must
-    be aligned with ``cells``.
-    """
-    return [
-        cell
-        for cell, (col, row) in zip(cells, cell_coords)
-        if rect.min_x <= col <= rect.max_x and rect.min_y <= row <= rect.max_y
-    ]

@@ -151,8 +151,6 @@ class DataSource:
         result = self._coverage_search.search_node(query_node, request.k, request.delta)
         selections = []
         for entry in result.entries:
-            if entry.dataset_id in request.exclude_ids:
-                continue
             node = self._index.get(entry.dataset_id)
             center_cells = self._cells_to_center_grid(node.cells, center_grid)
             selections.append((entry.dataset_id, tuple(sorted(center_cells))))

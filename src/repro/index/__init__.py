@@ -9,7 +9,7 @@
 * :mod:`repro.index.dits_global` — DITS-G, the global index at the data
   center, built over the root summaries reported by each source.
 * :mod:`repro.index.dits_global_sharded` — DITS-G partitioned into z-order
-  shards with incremental registration and parallel pruning.
+  shards with incremental registration.
 * :mod:`repro.index.quadtree` — QuadTree baseline over individual cells.
 * :mod:`repro.index.rtree` — R-tree baseline over dataset MBRs.
 * :mod:`repro.index.inverted` — STS3-style plain inverted index.

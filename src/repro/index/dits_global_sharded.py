@@ -5,16 +5,13 @@ tree over *every* registered source whenever the summary set changes, which
 is fine for the paper's five portals but not for a center tracking thousands
 of sources under churn.  :class:`ShardedDITSGlobalIndex` partitions the
 summaries into ``N`` shards by the z-order position of each summary's pivot
-(:class:`ShardPolicy`), keeps one DITS-G tree per shard, and
-
-* **registers incrementally** — a mutation only marks the touched shard
-  stale, so the next query rebuilds ``O(n/N)`` summaries instead of ``O(n)``
-  (``defer_rebuild=False`` additionally rebuilds the touched shard right
-  away, keeping queries rebuild-free);
-* **prunes in parallel** — ``candidate_sources`` fans the per-shard tree
-  traversals out over a
-  :class:`~repro.distributed.executor.SourceDispatcher`, the same machinery
-  the data center already uses for per-source request dispatch.
+(:class:`ShardPolicy`), keeps one DITS-G tree per shard, and **registers
+incrementally** — a mutation only marks the touched shard stale, so the next
+query rebuilds ``O(n/N)`` summaries instead of ``O(n)``
+(``defer_rebuild=False`` additionally rebuilds the touched shard right away,
+keeping queries rebuild-free).  Queries walk the shards one after another:
+the traversal is pure Python, so threads cannot overlap it, and it is a
+fraction of a percent of a federated query (PERF.md, "Parallel pruning").
 
 Because tree-node pruning is never stricter than the per-summary predicate
 (see :func:`~repro.index.dits_global.node_may_contain`), the union of the
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import threading
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.errors import IndexNotBuiltError, InvalidParameterError, SourceNotFoundError
 from repro.core.geometry import BoundingBox
@@ -40,20 +37,13 @@ from repro.core.grid import WORLD_SPACE
 from repro.index.dits_global import (
     DEFAULT_FANOUT,
     SourceSummary,
+    _GlobalNode,
     build_summary_tree,
     collect_candidates,
 )
 from repro.utils.zorder import zorder_encode
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.distributed.executor import SourceDispatcher
-    from repro.index.dits_global import _GlobalNode
-
-__all__ = ["ShardPolicy", "ShardedDITSGlobalIndex", "DEFAULT_PARALLEL_THRESHOLD"]
-
-#: Below this many registered sources the per-shard pruning runs serially;
-#: thread fan-out only pays for itself once the shards hold real work.
-DEFAULT_PARALLEL_THRESHOLD = 256
+__all__ = ["ShardPolicy", "ShardedDITSGlobalIndex"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +79,7 @@ class ShardPolicy:
         ``False`` (default) rebuilds a touched shard at registration time,
         keeping queries rebuild-free.  ``True`` batches churn: mutations
         only mark shards stale and the next query rebuilds every stale
-        shard once (in parallel when dispatch fans out).
+        shard once.
     """
 
     shard_count: int = 4
@@ -127,12 +117,12 @@ class _Shard:
 
     def __init__(self) -> None:
         self.summaries: dict[str, SourceSummary] = {}  # guarded-by: lock
-        self.root: "_GlobalNode | None" = None  # guarded-by: lock
+        self.root: _GlobalNode | None = None  # guarded-by: lock
         self.dirty = False  # guarded-by: lock
         self.rebuilds = 0  # guarded-by: lock
         self.lock = threading.Lock()
 
-    def ensure_built(self, leaf_capacity: int) -> "_GlobalNode | None":
+    def ensure_built(self, leaf_capacity: int) -> _GlobalNode | None:
         """Rebuild this shard's tree if stale; returns the immutable root."""
         with self.lock:
             if self.dirty:
@@ -152,29 +142,17 @@ class ShardedDITSGlobalIndex:
         The :class:`ShardPolicy` mapping summaries to shards.
     leaf_capacity:
         Per-shard tree leaf capacity (same meaning as the monolithic index).
-    dispatcher:
-        Optional :class:`~repro.distributed.executor.SourceDispatcher` used
-        to fan per-shard pruning out across threads; ``None`` prunes the
-        shards serially.  The data center passes its own dispatcher so
-        global pruning shares the per-source request pool.
-    parallel_threshold:
-        Minimum number of registered sources before the dispatcher is used;
-        small federations prune faster serially.
     """
 
     def __init__(
         self,
         policy: ShardPolicy | None = None,
         leaf_capacity: int = DEFAULT_FANOUT,
-        dispatcher: "SourceDispatcher | None" = None,
-        parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
     ) -> None:
         if leaf_capacity <= 0:
             raise InvalidParameterError(f"leaf capacity must be positive, got {leaf_capacity}")
         self.policy = policy if policy is not None else ShardPolicy()
         self.leaf_capacity = leaf_capacity
-        self.parallel_threshold = parallel_threshold
-        self._dispatcher = dispatcher
         self._shards = [_Shard() for _ in range(self.policy.shard_count)]
         self._shard_of_source: dict[str, int] = {}  # guarded-by: _lock
         self._summaries: dict[str, SourceSummary] = {}  # guarded-by: _lock
@@ -284,11 +262,10 @@ class ShardedDITSGlobalIndex:
     ) -> list[SourceSummary]:
         """Union of per-shard candidates, ordered exactly like the monolith.
 
-        Each shard's tree is traversed independently (fanned out over the
-        dispatcher for large federations); because every source lives in
-        exactly one shard and node pruning matches the flat per-summary
-        predicate, concatenating the shard results and sorting by
-        ``source_id`` is bit-identical to the monolithic index.
+        Each shard's tree is traversed independently; because every source
+        lives in exactly one shard and node pruning matches the flat
+        per-summary predicate, concatenating the shard results and sorting
+        by ``source_id`` is bit-identical to the monolithic index.
 
         A refresh that migrates a source between shards is not atomic with
         respect to a concurrent query, which snapshots shards at different
@@ -300,38 +277,16 @@ class ShardedDITSGlobalIndex:
         unregister and re-register messages.
         """
         candidates: list[SourceSummary] = []
-        if self._use_parallel():
-            per_shard = self._dispatcher.map(
-                lambda shard: self._collect_shard(shard, query_rect, delta_geo),
-                self._shards,
+        for shard in self._shards:
+            collect_candidates(
+                shard.ensure_built(self.leaf_capacity), query_rect, delta_geo, candidates
             )
-            for chunk in per_shard:
-                candidates.extend(chunk)
-        else:
-            for shard in self._shards:
-                candidates.extend(self._collect_shard(shard, query_rect, delta_geo))
         candidates.sort(key=lambda summary: summary.source_id)
         return [
             summary
             for position, summary in enumerate(candidates)
             if position == 0 or candidates[position - 1].source_id != summary.source_id
         ]
-
-    def _collect_shard(
-        self, shard: _Shard, query_rect: BoundingBox, delta_geo: float
-    ) -> list[SourceSummary]:
-        out: list[SourceSummary] = []
-        collect_candidates(
-            shard.ensure_built(self.leaf_capacity), query_rect, delta_geo, out
-        )
-        return out
-
-    def _use_parallel(self) -> bool:
-        return (
-            self._dispatcher is not None
-            and len(self._shards) > 1
-            and len(self) >= self.parallel_threshold
-        )
 
     def all_summaries(self) -> Iterator[SourceSummary]:
         """Iterate over every registered summary (used by broadcast baselines)."""
@@ -344,7 +299,7 @@ class ShardedDITSGlobalIndex:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def root(self) -> "_GlobalNode":
+    def root(self) -> _GlobalNode:
         """Root of the first non-empty shard tree; raises when empty.
 
         The sharded index has no single tree; this accessor exists for API

@@ -16,11 +16,18 @@ greedy baseline:
   ``delta`` is accepted wholesale, a subtree whose lower bound exceeds
   ``delta`` is rejected wholesale, and only border cases fall through to
   exact per-dataset distance checks.
+
+The greedy loop itself — covered set, marginal gains, tie-break — is
+:class:`GreedyCover`, shared with the SG / SG+DITS baselines and the data
+center's final pass, which differ from CoverageSearch only in how they find
+each round's connected candidates.  It carries Algorithm 3's third
+acceleration:
+
 * **Coverage-size filter** — a candidate whose total cell count does not
   exceed the best marginal gain found so far in the current iteration cannot
   win it, so its exact marginal gain is never computed (Algorithm 3 line 6).
 
-Two further accelerations are layered on top without changing any result:
+Three further accelerations are layered on top without changing any result:
 
 * **Connectivity cache** — the merged node only ever *grows*, so the
   distance from any dataset to it is monotonically non-increasing across
@@ -40,7 +47,7 @@ Two further accelerations are layered on top without changing any result:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container
+from typing import Container, Iterable
 
 from repro.core.dataset import DatasetNode
 from repro.core.distance import node_distance_bounds
@@ -50,7 +57,7 @@ from repro.core.problems import CoverageQuery, CoverageResult, ScoredDataset
 from repro.index.dits import DITSLocalIndex, InternalNode, LeafNode, TreeNode
 from repro.utils import cellsets
 
-__all__ = ["CoverageSearch", "CoverageSearchStats", "find_connected_nodes"]
+__all__ = ["CoverageSearch", "CoverageSearchStats", "GreedyCover", "find_connected_nodes"]
 
 
 @dataclass(slots=True)
@@ -163,6 +170,77 @@ def _collect_datasets(
             stack.append(current.right)
 
 
+class GreedyCover:
+    """Algorithm 3's greedy state: the covered set and each round's choice.
+
+    The caller finds the round's connected candidates, :meth:`pick` chooses
+    among them and :meth:`add` records the choice.  This is the one place on
+    the CJSP path that consults the cell-set backend: the covered set is a
+    sorted cell vector advanced by merge kernels, or, under the ``frozenset``
+    reference backend, a Python set.
+    """
+
+    def __init__(self, query: DatasetNode) -> None:
+        self._query_coverage = len(query.cells)
+        self._use_vector = cellsets.use_vector()
+        # Only the active backend's form of the covered set is kept current.
+        self._covered_array = query.cells_array
+        self._covered_set: set[int] = set() if self._use_vector else set(query.cells)
+        self._entries: list[ScoredDataset] = []
+
+    def pick(  # parity-critical
+        self, candidates: Iterable[DatasetNode], stats: CoverageSearchStats | None = None
+    ) -> tuple[DatasetNode, int] | None:
+        """The candidate with the largest positive marginal gain, and that gain.
+
+        Gain ties go to the smaller ``dataset_id``.  A candidate whose total
+        cell count does not exceed the best gain so far cannot beat it, so
+        its gain is never computed (Algorithm 3 line 6); taken in ascending
+        id order that filter can only drop candidates that would lose the
+        tie anyway.  ``None`` when no candidate adds coverage.
+        """
+        best_node: DatasetNode | None = None
+        best_gain = 0
+        for candidate in candidates:
+            if len(candidate.cells) <= best_gain:
+                if stats is not None:
+                    stats.gain_skips += 1
+                continue
+            if stats is not None:
+                stats.gain_evaluations += 1
+            if self._use_vector:
+                gain = cellsets.difference_size(candidate.cells_array, self._covered_array)
+            else:
+                gain = len(candidate.cells - self._covered_set)
+            if gain > best_gain or (
+                gain == best_gain
+                and best_node is not None
+                and candidate.dataset_id < best_node.dataset_id
+            ):
+                best_gain = gain
+                best_node = candidate
+        return None if best_node is None else (best_node, best_gain)
+
+    def add(self, node: DatasetNode, gain: int, source_id: str | None = None) -> None:  # parity-critical
+        """Record ``node`` as this round's selection and cover its cells."""
+        if self._use_vector:
+            self._covered_array = cellsets.union(self._covered_array, node.cells_array)
+        else:
+            self._covered_set |= node.cells
+        self._entries.append(
+            ScoredDataset(dataset_id=node.dataset_id, score=float(gain), source_id=source_id)
+        )
+
+    def result(self) -> CoverageResult:
+        """The selections so far, in selection order, with the CJSP objective."""
+        covered = self._covered_array if self._use_vector else self._covered_set
+        return CoverageResult(
+            entries=tuple(self._entries),
+            total_coverage=len(covered),
+            query_coverage=self._query_coverage,
+        )
+
+
 class CoverageSearch:
     """Greedy coverage joinable search with spatial merge over DITS-L."""
 
@@ -191,16 +269,11 @@ class CoverageSearch:
         stats = CoverageSearchStats()
         self.last_stats = stats
 
-        entries: list[ScoredDataset] = []
+        cover = GreedyCover(query)
         if not self._index.is_built() or len(self._index) == 0:
-            return CoverageResult(
-                entries=(), total_coverage=len(query.cells), query_coverage=len(query.cells)
-            )
+            return cover.result()
 
-        use_vector = cellsets.use_vector()
         merged = query
-        covered: set[int] = set() if use_vector else set(query.cells)
-        covered_array = query.cells_array if use_vector else None
         chosen_ids: set[str] = set()
         # Datasets proven connected in an earlier iteration stay connected
         # (the merged node only grows), so their distance work is never paid
@@ -218,48 +291,19 @@ class CoverageSearch:
                 known_connected=connected_ids,
             )
             connected_ids.update(candidate.dataset_id for candidate in candidates)
-            best_node: DatasetNode | None = None
-            best_gain = 0
             # Sort by descending cell count so the size filter (|S_D| > tau)
             # triggers as early as possible.
-            for candidate in sorted(
-                candidates, key=lambda c: (-len(c.cells), c.dataset_id)
-            ):
-                if len(candidate.cells) <= best_gain:
-                    stats.gain_skips += 1
-                    continue
-                stats.gain_evaluations += 1
-                if use_vector:
-                    gain = cellsets.difference_size(candidate.cells_array, covered_array)
-                else:
-                    gain = len(candidate.cells - covered)
-                if gain > best_gain or (
-                    gain == best_gain
-                    and gain > 0
-                    and best_node is not None
-                    and candidate.dataset_id < best_node.dataset_id
-                ):
-                    best_gain = gain
-                    best_node = candidate
-            if best_node is None or best_gain == 0:
+            candidates.sort(key=lambda c: (-len(c.cells), c.dataset_id))
+            picked = cover.pick(candidates, stats)
+            if picked is None:
                 # Either nothing is connected or nothing adds new coverage;
                 # if connected candidates exist but add no coverage we still
                 # stop (no positive marginal gain remains), matching the
                 # greedy objective.
                 break
+            best_node, best_gain = picked
             chosen_ids.add(best_node.dataset_id)
-            if use_vector:
-                covered_array = cellsets.union(covered_array, best_node.cells_array)
-            else:
-                covered |= best_node.cells
-            entries.append(
-                ScoredDataset(dataset_id=best_node.dataset_id, score=float(best_gain))
-            )
+            cover.add(best_node, best_gain)
             merged = merged.merged_with(best_node, merged_id="__merged_query__")
 
-        total_coverage = int(covered_array.size) if use_vector else len(covered)
-        return CoverageResult(
-            entries=tuple(entries),
-            total_coverage=total_coverage,
-            query_coverage=len(query.cells),
-        )
+        return cover.result()

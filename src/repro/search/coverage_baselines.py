@@ -13,8 +13,11 @@ Section VII-D compares CoverageSearch against two baselines:
   exploiting the Lemma 4 bounds.  It lacks CoverageSearch's spatial-merge
   trick, so connected sets are discovered per result-set member.
 
-Both baselines keep their per-round state *incrementally* across greedy
-rounds, which changes no result but removes the quadratic rescans:
+The greedy loop itself (covered set, marginal gains, tie-break) is the
+shared :class:`~repro.search.coverage.GreedyCover`; what makes each class a
+baseline is only how it finds a round's connected candidates.  Both keep that
+state *incrementally* across rounds, which changes no result but removes the
+quadratic rescans:
 
 * Connectivity is monotone in the growing result set — once a candidate is
   connected to some member it stays connected forever.  SG therefore caches
@@ -22,9 +25,6 @@ rounds, which changes no result but removes the quadratic rescans:
   member added last round, dropping from ``O(k^2 * n)`` to ``O(k * n)`` exact
   distance computations.  SG+DITS likewise runs ``FindConnectSet`` only for
   the newest member and accumulates the union.
-* Marginal gains run on the vectorized cell-set kernels
-  (:func:`repro.utils.cellsets.difference_size` over sorted cell vectors)
-  instead of rebuilding ``candidate.cells - covered`` frozensets each round.
 * Each SG round's exact-distance scan is one batched
   :meth:`~repro.core.distance_engine.DistanceEngine.within_delta_many` call:
   all untested candidates are stacked and answered by a single δ-bounded
@@ -43,10 +43,9 @@ from __future__ import annotations
 from repro.core.dataset import DatasetNode
 from repro.core.distance_engine import get_engine
 from repro.core.errors import InvalidParameterError
-from repro.core.problems import CoverageQuery, CoverageResult, ScoredDataset
+from repro.core.problems import CoverageQuery, CoverageResult
 from repro.index.dits import DITSLocalIndex
-from repro.search.coverage import find_connected_nodes
-from repro.utils import cellsets
+from repro.search.coverage import GreedyCover, find_connected_nodes
 
 __all__ = ["StandardGreedy", "StandardGreedyWithDITS"]
 
@@ -57,7 +56,9 @@ class StandardGreedy:
     name = "SG"
 
     def __init__(self, nodes: list[DatasetNode]) -> None:
-        self._nodes = list(nodes)
+        # Ascending id, the order GreedyCover.pick takes its candidates in:
+        # the answer does not depend on the order the caller listed them.
+        self._nodes = sorted(nodes, key=lambda node: node.dataset_id)
 
     def search(self, request: CoverageQuery) -> CoverageResult:
         """Run greedy CJSP for ``request``."""
@@ -69,11 +70,8 @@ class StandardGreedy:
             raise InvalidParameterError(f"k must be positive, got {k}")
         if delta < 0:
             raise InvalidParameterError(f"delta must be non-negative, got {delta}")
-        use_vector = cellsets.use_vector()
-        covered: set[int] = set() if use_vector else set(query.cells)
-        covered_array = query.cells_array if use_vector else None
+        cover = GreedyCover(query)
         chosen_ids: set[str] = set()
-        entries: list[ScoredDataset] = []
         # Candidates proven connected to the growing result set.  The result
         # set only grows, so membership here is permanent; candidates outside
         # it have already failed against every member except the newest one.
@@ -97,42 +95,19 @@ class StandardGreedy:
                     for candidate, ok in zip(untested, mask)
                     if ok
                 )
-            best_node: DatasetNode | None = None
-            best_gain = 0
-            for candidate in self._nodes:
-                dataset_id = candidate.dataset_id
-                if dataset_id in chosen_ids or dataset_id not in connected_ids:
-                    continue
-                if use_vector:
-                    gain = cellsets.difference_size(candidate.cells_array, covered_array)
-                else:
-                    gain = len(candidate.cells - covered)
-                if gain > best_gain or (
-                    gain == best_gain
-                    and gain > 0
-                    and best_node is not None
-                    and dataset_id < best_node.dataset_id
-                ):
-                    best_gain = gain
-                    best_node = candidate
-            if best_node is None or best_gain == 0:
-                break
-            chosen_ids.add(best_node.dataset_id)
-            if use_vector:
-                covered_array = cellsets.union(covered_array, best_node.cells_array)
-            else:
-                covered |= best_node.cells
-            last_member = best_node
-            entries.append(
-                ScoredDataset(dataset_id=best_node.dataset_id, score=float(best_gain))
+            picked = cover.pick(
+                candidate
+                for candidate in self._nodes
+                if candidate.dataset_id in connected_ids
+                and candidate.dataset_id not in chosen_ids
             )
+            if picked is None:
+                break
+            last_member, gain = picked
+            chosen_ids.add(last_member.dataset_id)
+            cover.add(last_member, gain)
 
-        total_coverage = int(covered_array.size) if use_vector else len(covered)
-        return CoverageResult(
-            entries=tuple(entries),
-            total_coverage=total_coverage,
-            query_coverage=len(query.cells),
-        )
+        return cover.result()
 
 
 class StandardGreedyWithDITS:
@@ -151,55 +126,27 @@ class StandardGreedyWithDITS:
         """Run greedy CJSP for ``query`` with parameters ``k`` and ``delta``."""
         if k <= 0:
             raise InvalidParameterError(f"k must be positive, got {k}")
+        cover = GreedyCover(query)
         if not self._index.is_built() or len(self._index) == 0:
-            return CoverageResult(
-                entries=(), total_coverage=len(query.cells), query_coverage=len(query.cells)
-            )
-        use_vector = cellsets.use_vector()
-        covered: set[int] = set() if use_vector else set(query.cells)
-        covered_array = query.cells_array if use_vector else None
+            return cover.result()
         chosen_ids: set[str] = set()
-        entries: list[ScoredDataset] = []
         # The tree and earlier members never change, so each member's
         # FindConnectSet runs exactly once; the candidate pool is the
         # accumulated union minus the datasets already chosen.
         candidates: dict[str, DatasetNode] = {}
-        new_members: list[DatasetNode] = [query]
+        last_member = query
 
         for _ in range(k):
-            for member in new_members:
-                for candidate in find_connected_nodes(
-                    self._index.root, member, delta, exclude=chosen_ids
-                ):
-                    candidates[candidate.dataset_id] = candidate
-            new_members = []
-            best_node: DatasetNode | None = None
-            best_gain = 0
-            for dataset_id in sorted(candidates):
-                candidate = candidates[dataset_id]
-                if use_vector:
-                    gain = cellsets.difference_size(candidate.cells_array, covered_array)
-                else:
-                    gain = len(candidate.cells - covered)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_node = candidate
-            if best_node is None or best_gain == 0:
+            for candidate in find_connected_nodes(
+                self._index.root, last_member, delta, exclude=chosen_ids
+            ):
+                candidates[candidate.dataset_id] = candidate
+            picked = cover.pick(candidates[dataset_id] for dataset_id in sorted(candidates))
+            if picked is None:
                 break
-            chosen_ids.add(best_node.dataset_id)
-            del candidates[best_node.dataset_id]
-            if use_vector:
-                covered_array = cellsets.union(covered_array, best_node.cells_array)
-            else:
-                covered |= best_node.cells
-            new_members = [best_node]
-            entries.append(
-                ScoredDataset(dataset_id=best_node.dataset_id, score=float(best_gain))
-            )
+            last_member, gain = picked
+            chosen_ids.add(last_member.dataset_id)
+            del candidates[last_member.dataset_id]
+            cover.add(last_member, gain)
 
-        total_coverage = int(covered_array.size) if use_vector else len(covered)
-        return CoverageResult(
-            entries=tuple(entries),
-            total_coverage=total_coverage,
-            query_coverage=len(query.cells),
-        )
+        return cover.result()

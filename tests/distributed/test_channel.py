@@ -98,9 +98,8 @@ class TestMessagePayloads:
         request = CoverageRequest(
             query_id="q", cells=(1, 2), query_rect=(0, 0, 1, 1), k=3, delta=2.0
         )
-        assert request.known_cells == ()
-        assert request.exclude_ids == ()
-        assert "delta" in request.wire_payload()
+        # Every key is byte-counted: a field nobody reads must not ride along.
+        assert set(request.wire_payload()) == {"query", "cells", "rect", "k", "delta"}
 
     def test_coverage_response_payload(self):
         response = CoverageResponse(

@@ -1,13 +1,12 @@
 """Thread-safety stress tests for the sharded DITS-G center.
 
 The sharded global index rebuilds shard trees lazily, which turns queries
-into writers; these tests race concurrent ``candidate_sources`` calls
-(fanned out over an :class:`ExecutionPolicy` thread pool) against
-registration/unregistration churn, both on the raw index and through a full
-:class:`MultiSourceFramework`, and assert that nothing crashes, no source is
-lost and the final state answers queries exactly like a freshly built
-reference.  Mirrors the serial-vs-parallel parity harness in
-``tests/distributed/test_parallel_dispatch.py``.
+into writers; these tests race concurrent ``candidate_sources`` calls from
+several threads against registration/unregistration churn, both on the raw
+index and through a full :class:`MultiSourceFramework`, and assert that
+nothing crashes, no source is lost and the final state answers queries
+exactly like a freshly built reference.  Mirrors the serial-vs-parallel
+parity harness in ``tests/distributed/test_parallel_dispatch.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 
 from repro.core.geometry import BoundingBox
 from repro.data.sources import SOURCE_PROFILES, build_source_datasets
-from repro.distributed.executor import ExecutionPolicy, SourceDispatcher
+from repro.distributed.executor import ExecutionPolicy
 from repro.distributed.framework import MultiSourceFramework
 from repro.index.dits_global import DITSGlobalIndex, SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
@@ -42,68 +41,65 @@ def random_summary(rng: np.random.Generator, ident: int) -> SourceSummary:
 def test_raw_index_queries_race_churn(defer_rebuild):
     """Concurrent candidate_sources vs register/unregister churn on the index."""
     policy = ShardPolicy(shard_count=8, defer_rebuild=defer_rebuild)
-    with SourceDispatcher(ExecutionPolicy(max_workers=4)) as dispatcher:
-        index = ShardedDITSGlobalIndex(
-            policy, leaf_capacity=4, dispatcher=dispatcher, parallel_threshold=1
-        )
-        seed_rng = np.random.default_rng(0)
-        base = [random_summary(seed_rng, i) for i in range(120)]
-        index.register_all(base)
+    index = ShardedDITSGlobalIndex(policy, leaf_capacity=4)
+    seed_rng = np.random.default_rng(0)
+    base = [random_summary(seed_rng, i) for i in range(120)]
+    index.register_all(base)
 
-        errors: list[BaseException] = []
-        stop = threading.Event()
+    errors: list[BaseException] = []
+    stop = threading.Event()
 
-        def query_loop(seed: int) -> None:
-            rng = np.random.default_rng(seed)
-            try:
-                while not stop.is_set():
-                    cx = rng.uniform(REGION.min_x, REGION.max_x)
-                    cy = rng.uniform(REGION.min_y, REGION.max_y)
-                    rect = BoundingBox(cx - 2, cy - 2, cx + 2, cy + 2)
-                    seen = [c.source_id for c in index.candidate_sources(rect, delta_geo=1.5)]
-                    # A migrating source must never be routed to twice.
-                    assert len(seen) == len(set(seen))
-                    assert all(source_id.startswith("s") for source_id in seen)
-            except BaseException as exc:  # noqa: BLE001 - repanic in main thread
-                errors.append(exc)
+    def query_loop(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        try:
+            while not stop.is_set():
+                cx = rng.uniform(REGION.min_x, REGION.max_x)
+                cy = rng.uniform(REGION.min_y, REGION.max_y)
+                rect = BoundingBox(cx - 2, cy - 2, cx + 2, cy + 2)
+                seen = [c.source_id for c in index.candidate_sources(rect, delta_geo=1.5)]
+                # A migrating source must never be routed to twice.
+                assert len(seen) == len(set(seen))
+                assert all(source_id.startswith("s") for source_id in seen)
+        except BaseException as exc:  # noqa: BLE001 - repanic in main thread
+            errors.append(exc)
 
-        workers = [threading.Thread(target=query_loop, args=(17 + t,)) for t in range(4)]
-        for worker in workers:
-            worker.start()
+    workers = [threading.Thread(target=query_loop, args=(17 + t,)) for t in range(4)]
+    for worker in workers:
+        worker.start()
 
-        churn_rng = np.random.default_rng(99)
-        live = [s.source_id for s in base]
-        next_id = len(base)
-        for _ in range(400):
-            op = churn_rng.random()
-            if op < 0.35 and len(live) > 20:
-                victim = live.pop(int(churn_rng.integers(len(live))))
-                index.unregister(victim)
-            elif op < 0.65 and live:
-                # Refresh with a far-moved rect: forces cross-shard
-                # migrations to race the concurrent queries.
-                victim = live[int(churn_rng.integers(len(live)))]
-                moved = random_summary(churn_rng, 0)
-                index.register(
-                    SourceSummary(victim, moved.rect, moved.dataset_count)
-                )
-            else:
-                summary = random_summary(churn_rng, next_id)
-                next_id += 1
-                live.append(summary.source_id)
-                index.register(summary)
-        stop.set()
-        for worker in workers:
-            worker.join(timeout=30)
-        assert not errors, errors[0]
+    churn_rng = np.random.default_rng(99)
+    live = [s.source_id for s in base]
+    next_id = len(base)
+    for _ in range(400):
+        op = churn_rng.random()
+        if op < 0.35 and len(live) > 20:
+            victim = live.pop(int(churn_rng.integers(len(live))))
+            index.unregister(victim)
+        elif op < 0.65 and live:
+            # Refresh with a far-moved rect: forces cross-shard
+            # migrations to race the concurrent queries.
+            victim = live[int(churn_rng.integers(len(live)))]
+            moved = random_summary(churn_rng, 0)
+            index.register(
+                SourceSummary(victim, moved.rect, moved.dataset_count)
+            )
+        else:
+            summary = random_summary(churn_rng, next_id)
+            next_id += 1
+            live.append(summary.source_id)
+            index.register(summary)
+    stop.set()
+    for worker in workers:
+        worker.join(timeout=30)
+    assert not errors, errors[0]
 
-        # Final state must match a reference index built from scratch.
-        reference = DITSGlobalIndex(leaf_capacity=4)
-        reference.register_all(index.summary_of(source_id) for source_id in live)
-        assert index.source_ids() == sorted(live)
-        assert sum(index.shard_sizes()) == len(live)
-        probe = BoundingBox(REGION.min_x, REGION.min_y, REGION.max_x, REGION.max_y)
-        assert index.candidate_sources(probe, 2.0) == reference.candidate_sources(probe, 2.0)
+    # Final state must match a reference index built from scratch.
+    reference = DITSGlobalIndex(leaf_capacity=4)
+    reference.register_all(index.summary_of(source_id) for source_id in live)
+    assert index.source_ids() == sorted(live)
+    assert sum(index.shard_sizes()) == len(live)
+    probe = BoundingBox(REGION.min_x, REGION.min_y, REGION.max_x, REGION.max_y)
+    assert index.candidate_sources(probe, 2.0) == reference.candidate_sources(probe, 2.0)
 
 
 def _federation_sources(count: int, seed: int):

@@ -105,32 +105,6 @@ class TestDataSource:
             assert dataset_id in west_source.index
             assert len(cells) > 0
 
-    def test_coverage_respects_exclusions(self, west_source, grid):
-        query_node = make_datasets(REGION_WEST, 1, seed=5, prefix="q")[0].to_node(grid)
-        base = CoverageRequest(
-            query_id="q2",
-            cells=tuple(sorted(query_node.cells)),
-            query_rect=(0, 0, 1, 1),
-            k=3,
-            delta=10.0,
-        )
-        first = west_source.handle_coverage(base, grid)
-        if not first.selections:
-            pytest.skip("no connected datasets in this synthetic draw")
-        excluded = first.selections[0][0]
-        second = west_source.handle_coverage(
-            CoverageRequest(
-                query_id="q3",
-                cells=base.cells,
-                query_rect=base.query_rect,
-                k=3,
-                delta=10.0,
-                exclude_ids=(excluded,),
-            ),
-            grid,
-        )
-        assert excluded not in [dataset_id for dataset_id, _ in second.selections]
-
     def test_grid_rect_to_geo_maps_into_space(self, grid):
         rect_geo = grid_rect_to_geo(grid, BoundingBox(0, 0, 10, 10))
         assert rect_geo.min_x == pytest.approx(grid.space.min_x)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import BoundingBox
-from repro.distributed.executor import ExecutionPolicy, SourceDispatcher
 from repro.index.dits_global import (
     DITSGlobalIndex,
     SourceSummary,
@@ -165,28 +164,6 @@ class TestChurnParity:
         assert sharded.source_ids() == mono.source_ids()
         assert sum(sharded.shard_sizes()) == len(mono)
         assert_parity(mono, sharded, random_query_rects(rng, 10))
-
-    def test_parallel_dispatch_parity(self, shard_count, seed):
-        """Fanning shard pruning over a thread pool changes nothing."""
-        rng = np.random.default_rng(seed + 7)
-        summaries = [random_summary(rng, i) for i in range(60)]
-        serial = ShardedDITSGlobalIndex(
-            ShardPolicy(shard_count=shard_count), leaf_capacity=4
-        )
-        with SourceDispatcher(ExecutionPolicy(max_workers=4)) as dispatcher:
-            parallel = ShardedDITSGlobalIndex(
-                ShardPolicy(shard_count=shard_count),
-                leaf_capacity=4,
-                dispatcher=dispatcher,
-                parallel_threshold=1,
-            )
-            serial.register_all(summaries)
-            parallel.register_all(summaries)
-            for rect in random_query_rects(rng, 10):
-                for delta in DELTAS:
-                    assert parallel.candidate_sources(rect, delta) == serial.candidate_sources(
-                        rect, delta
-                    )
 
 
 # ---------------------------------------------------------------------- #
