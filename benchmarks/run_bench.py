@@ -19,6 +19,7 @@ The JSON schema (``repro-bench/v1``)::
       "figures": {
         "fig10": {"wall_s": 22.8, "rows": [...],
                   "seed_wall_s": 73.6, "speedup_vs_seed": 3.28},
+        "fig13": {"wall_s": 0.9, "bytes": {"OverlapSearch": ..., "Broadcast": ...}},
         ...
       }
     }
@@ -90,6 +91,9 @@ SWEEPS = {
     "fig12": lambda: experiments.fig12_overlap_vs_leaf_capacity(
         capacities=LEAF_CAPACITIES, k=5, query_count=5, config=OJSP_CONFIG
     ),
+    "fig13": lambda: experiments.fig13_14_overlap_communication(
+        q_values=Q_VALUES, k=5, config=BENCH_CONFIG
+    ),
     "fig15": lambda: experiments.fig15_coverage_vs_k(
         k_values=K_VALUES, query_count=3, config=BENCH_CONFIG
     ),
@@ -101,6 +105,9 @@ SWEEPS = {
     ),
     "fig18": lambda: experiments.fig18_coverage_vs_delta(
         delta_values=DELTA_VALUES, query_count=3, config=BENCH_CONFIG
+    ),
+    "fig19": lambda: experiments.fig19_20_coverage_communication(
+        q_values=Q_VALUES, k=5, config=BENCH_CONFIG
     ),
     "fig23": lambda: experiments.fig23_global_index_churn(**_fig23_kwargs()),
     "fig24": lambda: experiments.fig24_local_index_churn(**_fig24_kwargs()),
@@ -144,7 +151,9 @@ def _fig24_kwargs() -> dict:
     }
 
 
-DEFAULT_FIGURES = ("fig9", "fig10", "fig11", "fig12", "fig15", "fig23", "fig24")
+DEFAULT_FIGURES = (
+    "fig9", "fig10", "fig11", "fig12", "fig13", "fig15", "fig19", "fig23", "fig24"
+)
 
 
 def run(figures: list[str], include_rows: bool, baseline: dict | None = None) -> dict:
@@ -168,6 +177,12 @@ def run(figures: list[str], include_rows: bool, baseline: dict | None = None) ->
         if reference:
             entry["seed_wall_s"] = reference
             entry["speedup_vs_seed"] = round(reference / wall_s, 2)
+        if rows and "bytes" in rows[0]:
+            # Communication figures: per-method byte totals are deterministic,
+            # so they are recorded even when the rows are not.
+            entry["bytes"] = {}
+            for row in rows:
+                entry["bytes"][row["method"]] = entry["bytes"].get(row["method"], 0) + row["bytes"]
         if include_rows:
             entry["rows"] = rows
         results[name] = entry

@@ -32,10 +32,11 @@ DatasetId = str
 
 
 def _cached_cells_array(obj: "CellSet | DatasetNode") -> np.ndarray:
-    """Shared lazy cache: sorted int64 vector of ``obj.cells``, computed once."""
+    """Shared lazy cache: sorted read-only int64 vector of ``obj.cells``, computed once."""
     array = obj._cells_array
     if array is None:
         array = cellsets.as_cell_array(obj.cells)
+        array.flags.writeable = False
         object.__setattr__(obj, "_cells_array", array)
     return array
 
@@ -83,6 +84,7 @@ class SpatialDataset:
         the cell set so later set algebra can reuse it.
         """
         array = grid.cell_ids_of_batch(self.points)
+        array.flags.writeable = False
         cell_set = CellSet(dataset_id=self.dataset_id, cells=frozenset(array.tolist()))
         object.__setattr__(cell_set, "_cells_array", array)
         return cell_set
@@ -139,17 +141,6 @@ class CellSet:
         """Union of the two cell sets."""
         other_cells = other.cells if isinstance(other, CellSet) else other
         return self.cells | other_cells
-
-    def clipped_to(self, cell_ids: Iterable[int]) -> "CellSet | None":
-        """Restrict this cell set to ``cell_ids``; ``None`` if nothing survives.
-
-        Used by the query-distribution strategy that only ships the portion of
-        the query intersecting a candidate source's MBR.
-        """
-        kept = self.cells & set(cell_ids)
-        if not kept:
-            return None
-        return CellSet(dataset_id=self.dataset_id, cells=frozenset(kept))
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,6 +226,7 @@ class DatasetNode:
             cells=frozenset(array.tolist()),
             point_count=point_count or int(array.size),
         )
+        array.flags.writeable = False
         object.__setattr__(node, "_cells_array", array)
         return node
 

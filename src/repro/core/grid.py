@@ -258,6 +258,21 @@ class Grid:
         """
         return target.cell_id_of(self.cell_center(cell_id))
 
+    def rescale_cells_batch(self, cell_ids: np.ndarray, target: "Grid") -> np.ndarray:
+        """Vectorized :meth:`rescale_cell` over a sorted unique cell vector.
+
+        Equals ``sorted({self.rescale_cell(c, target) for c in cell_ids})``
+        (the batch decode and discretisation are element-wise identical to
+        the scalar ones) as a read-only vector; ``cell_ids`` itself when
+        ``target`` is this grid.
+        """
+        if target == self:
+            return cell_ids
+        xs, ys = self.cell_centers_of_batch(cell_ids)
+        rescaled = np.unique(zorder_encode_batch(*target.cell_coords_of_batch(xs, ys)))
+        rescaled.flags.writeable = False
+        return rescaled
+
     def _validate_cell(self, cell_id: int) -> None:
         if not 0 <= cell_id < self.total_cells:
             raise InvalidParameterError(

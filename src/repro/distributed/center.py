@@ -65,32 +65,29 @@ class DistributionPolicy:
 
 
 class _QueryCellView:
-    """Per-search cache of a query's sorted cell vector and decoded centres.
+    """Per-search cache of a query's decoded cell centres, for clipping.
 
-    The sorted cell tuple (the no-clip request payload) is built once per
-    query instead of once per candidate source, and the geographic centres of
-    all query cells are batch-decoded lazily on the first clip so that every
-    candidate rectangle costs one numpy mask instead of a per-cell Python
-    ``cell_center``/``contains_point`` loop.
+    Requests carry the query's cached sorted cell vector (or a masked slice
+    of it), read-only, with no per-candidate conversion.  The geographic
+    centres of all query cells are batch-decoded lazily on the first clip so
+    that every candidate rectangle costs one numpy mask instead of a per-cell
+    Python ``cell_center``/``contains_point`` loop.
     """
 
-    __slots__ = ("_grid", "_array", "_full", "_xs", "_ys")
+    __slots__ = ("_grid", "_array", "_xs", "_ys")
 
     def __init__(self, query: DatasetNode, grid: Grid) -> None:
         self._grid = grid
-        self._array = query.cells_array  # sorted unique int64, cached on the node
-        self._full: tuple[int, ...] | None = None
+        self._array = query.cells_array  # sorted unique read-only int64, cached on the node
         self._xs: np.ndarray | None = None
         self._ys: np.ndarray | None = None
 
     @property
-    def full(self) -> tuple[int, ...]:
+    def full(self) -> np.ndarray:
         """All query cells in ascending order (the unclipped payload)."""
-        if self._full is None:
-            self._full = tuple(self._array.tolist())
-        return self._full
+        return self._array
 
-    def clipped_to(self, geo_rect: BoundingBox) -> tuple[int, ...]:
+    def clipped_to(self, geo_rect: BoundingBox) -> np.ndarray:
         """Query cells whose geographic centre falls inside ``geo_rect``."""
         if self._xs is None:
             self._xs, self._ys = self._grid.cell_centers_of_batch(self._array)
@@ -101,8 +98,10 @@ class _QueryCellView:
             & (self._ys <= geo_rect.max_y)
         )
         if mask.all():
-            return self.full
-        return tuple(self._array[mask].tolist())
+            return self._array
+        clipped = self._array[mask]
+        clipped.flags.writeable = False
+        return clipped
 
 
 class DataCenter:
@@ -236,10 +235,10 @@ class DataCenter:
             lambda source, request: source.handle_coverage(request, self.grid),
         )
 
-        proposals: dict[str, tuple[str, tuple[int, ...]]] = {}
+        proposals: dict[str, tuple[str, np.ndarray]] = {}
         for source_id, response in answers:
-            for dataset_id, cell_tuple in response.selections:
-                proposals[dataset_id] = (source_id, cell_tuple)
+            for dataset_id, cells in response.selections:
+                proposals[dataset_id] = (source_id, cells)
 
         return self._aggregate_coverage(query, k, delta, proposals)
 
@@ -265,7 +264,7 @@ class DataCenter:
         remaining = {
             dataset_id: DatasetNode.from_cells(dataset_id, proposals[dataset_id][1], self.grid)
             for dataset_id in sorted(proposals)
-            if proposals[dataset_id][1]
+            if len(proposals[dataset_id][1])
         }
         cover = GreedyCover(query)
         connected_ids: set[str] = set()
@@ -298,7 +297,7 @@ class DataCenter:
         self,
         query: DatasetNode,
         delta_geo: float,
-        make_request: Callable[[str, tuple[int, ...], tuple[float, float, float, float]], _Request],
+        make_request: Callable[[str, np.ndarray, tuple[float, float, float, float]], _Request],
         handle: Callable[[DataSource, _Request], _Response],
     ) -> list[tuple[str, _Response]]:
         """Route, clip and dispatch one query; ``(source_id, response)`` in candidate order.
@@ -322,7 +321,7 @@ class DataCenter:
                 if self.policy.clip_query
                 else cell_view.full
             )
-            if not cells:
+            if len(cells) == 0:
                 continue
             tasks.append((summary.source_id, make_request(query_id, cells, rect)))
 

@@ -1,17 +1,21 @@
 """Message types exchanged between the data center and data sources.
 
-Each message knows how to describe itself as a ``wire_payload`` — a plain
-structure of numbers, strings and containers — which the simulated channel
-feeds to :func:`repro.utils.sizeof.encoded_size` to account for the bytes a
-real deployment would put on the network.  The query-distribution strategies
-of Section VI-A are visible here: an :class:`OverlapRequest` or
-:class:`CoverageRequest` carries only the *clipped* portion of the query's
-cells that intersects the target source's region, not the whole query.
+Each message knows how to describe itself as a ``wire_payload`` — numbers,
+strings and containers, with cell IDs as sorted, unique, read-only int64
+arrays handed over unconverted — which the simulated channel feeds to
+:func:`repro.utils.sizeof.encoded_size` to account for the bytes a real
+deployment would put on the network (an array is priced exactly like the
+list of ints it stands for).  The query-distribution strategies of Section
+VI-A are visible here: an :class:`OverlapRequest` or :class:`CoverageRequest`
+carries only the *clipped* portion of the query's cells that intersects the
+target source's region, not the whole query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "RootUpload",
@@ -40,7 +44,7 @@ class OverlapRequest:
     """An OJSP request sent from the data center to one candidate source."""
 
     query_id: str
-    cells: tuple[int, ...]
+    cells: np.ndarray
     query_rect: tuple[float, float, float, float]
     k: int
 
@@ -48,7 +52,7 @@ class OverlapRequest:
         """Payload used for byte accounting."""
         return {
             "query": self.query_id,
-            "cells": list(self.cells),
+            "cells": self.cells,
             "rect": list(self.query_rect),
             "k": self.k,
         }
@@ -76,7 +80,7 @@ class CoverageRequest:
     """A CJSP request sent from the data center to one candidate source."""
 
     query_id: str
-    cells: tuple[int, ...]
+    cells: np.ndarray
     query_rect: tuple[float, float, float, float]
     k: int
     delta: float
@@ -85,7 +89,7 @@ class CoverageRequest:
         """Payload used for byte accounting."""
         return {
             "query": self.query_id,
-            "cells": list(self.cells),
+            "cells": self.cells,
             "rect": list(self.query_rect),
             "k": self.k,
             "delta": self.delta,
@@ -98,14 +102,12 @@ class CoverageResponse:
 
     source_id: str
     query_id: str
-    selections: tuple[tuple[str, tuple[int, ...]], ...]
+    selections: tuple[tuple[str, np.ndarray], ...]
 
     def wire_payload(self) -> dict[str, object]:
         """Payload used for byte accounting."""
         return {
             "source": self.source_id,
             "query": self.query_id,
-            "selections": [
-                [dataset_id, list(cells)] for dataset_id, cells in self.selections
-            ],
+            "selections": [[dataset_id, cells] for dataset_id, cells in self.selections],
         }

@@ -9,7 +9,9 @@ summary (MBR + dataset count) in geographic coordinates.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from repro.core.dataset import DatasetNode, SpatialDataset
 from repro.core.errors import EmptyDatasetError
@@ -114,11 +116,6 @@ class DataSource:
             dataset_count=count,
         )
 
-    def geographic_region(self) -> BoundingBox:
-        """The geographic MBR of everything this source stores."""
-        rect, _, _, _ = self._index.root_summary()
-        return grid_rect_to_geo(self.grid, rect)
-
     # ------------------------------------------------------------------ #
     # Local query execution
     # ------------------------------------------------------------------ #
@@ -139,9 +136,10 @@ class DataSource:
     def handle_coverage(self, request: CoverageRequest, center_grid: Grid) -> CoverageResponse:
         """Answer a CJSP request: run the local greedy search and return selections.
 
-        The response carries, for every locally selected dataset, the full
-        list of cells it covers translated back into the *center's* grid so
-        the data center can compute global marginal gains and connectivity.
+        The response carries, for every locally selected dataset, the sorted
+        vector of all cells it covers translated back into the *center's*
+        grid (on a same-grid source, the node's own cached vector) so the
+        data center can compute global marginal gains and connectivity.
         """
         query_node = self._request_query_node(request.query_id, request.cells, center_grid)
         if query_node is None:
@@ -149,40 +147,21 @@ class DataSource:
                 source_id=self.source_id, query_id=request.query_id, selections=()
             )
         result = self._coverage_search.search_node(query_node, request.k, request.delta)
-        selections = []
-        for entry in result.entries:
-            node = self._index.get(entry.dataset_id)
-            center_cells = self._cells_to_center_grid(node.cells, center_grid)
-            selections.append((entry.dataset_id, tuple(sorted(center_cells))))
+        to_center = self.grid.rescale_cells_batch
+        selections = tuple(
+            (dataset_id, to_center(self._index.get(dataset_id).cells_array, center_grid))
+            for dataset_id in result.dataset_ids
+        )
         return CoverageResponse(
-            source_id=self.source_id,
-            query_id=request.query_id,
-            selections=tuple(selections),
+            source_id=self.source_id, query_id=request.query_id, selections=selections
         )
 
-    # ------------------------------------------------------------------ #
-    # Grid translation helpers
-    # ------------------------------------------------------------------ #
     def _request_query_node(
-        self, query_id: str, cells: Sequence[int], center_grid: Grid
+        self, query_id: str, cells: np.ndarray, center_grid: Grid
     ) -> DatasetNode | None:
         """Translate the request's cells (center grid) into a local query node."""
-        if not cells:
+        if len(cells) == 0:
             return None
-        local_cells = self._cells_from_center_grid(cells, center_grid)
-        if not local_cells:
-            return None
+        local_cells = center_grid.rescale_cells_batch(cells, self.grid)
         return DatasetNode.from_cells(f"__query__{query_id}", local_cells, self.grid)
 
-    def _cells_from_center_grid(self, cells: Sequence[int], center_grid: Grid) -> set[int]:
-        if self._same_grid(center_grid):
-            return set(cells)
-        return {center_grid.rescale_cell(cell, self.grid) for cell in cells}
-
-    def _cells_to_center_grid(self, cells: Iterable[int], center_grid: Grid) -> set[int]:
-        if self._same_grid(center_grid):
-            return set(cells)
-        return {self.grid.rescale_cell(cell, center_grid) for cell in cells}
-
-    def _same_grid(self, other: Grid) -> bool:
-        return other.theta == self.grid.theta and other.space == self.grid.space

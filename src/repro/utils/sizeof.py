@@ -8,7 +8,9 @@ message would occupy on the wire.  Two flavours are provided:
 ``encoded_size(obj)``
     the size of a compact, schema-less binary encoding (integers as 8 bytes,
     floats as 8 bytes, strings as UTF-8, containers as the sum of their
-    elements plus a small header).  This is what the simulated channel uses
+    elements plus a small header).  Numpy scalars and 1-D numeric arrays are
+    priced exactly like the Python numbers and lists they stand for, the
+    arrays in O(1).  This is what the simulated channel uses
     because it approximates a realistic serialisation such as protobuf or
     msgpack rather than Python object overhead.
 
@@ -23,6 +25,8 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping, Sequence, Set
 
+import numpy as np
+
 __all__ = ["encoded_size", "deep_size_of"]
 
 _CONTAINER_HEADER_BYTES = 4
@@ -31,10 +35,14 @@ _NUMBER_BYTES = 8
 
 def encoded_size(obj: object) -> int:
     """Estimate the wire size in bytes of ``obj`` under a compact encoding."""
-    if obj is None or isinstance(obj, bool):
+    if obj is None or isinstance(obj, (bool, np.bool_)):
         return 1
-    if isinstance(obj, int) or isinstance(obj, float):
+    if isinstance(obj, (int, float, np.integer, np.floating)):
         return _NUMBER_BYTES
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind in "iuf":
+            return _CONTAINER_HEADER_BYTES + _NUMBER_BYTES * obj.size
+        return encoded_size(obj.tolist())
     if isinstance(obj, str):
         return _CONTAINER_HEADER_BYTES + len(obj.encode("utf-8"))
     if isinstance(obj, bytes):

@@ -67,16 +67,6 @@ class TestCellSet:
         a = CellSet(dataset_id="a", cells=frozenset({1, 2}))
         assert a.union_with({2, 3}) == frozenset({1, 2, 3})
 
-    def test_clipped_to(self):
-        a = CellSet(dataset_id="a", cells=frozenset({1, 2, 3}))
-        clipped = a.clipped_to({2, 3, 9})
-        assert clipped is not None
-        assert clipped.cells == frozenset({2, 3})
-
-    def test_clipped_to_nothing_returns_none(self):
-        a = CellSet(dataset_id="a", cells=frozenset({1, 2}))
-        assert a.clipped_to({7, 8}) is None
-
 
 class TestDatasetNode:
     def test_from_cells_builds_mbr_in_grid_coordinates(self):
@@ -122,6 +112,21 @@ class TestDatasetNode:
         assert merged.cells == node_a.cells | node_b.cells
         assert merged.rect.contains_box(node_a.rect)
         assert merged.rect.contains_box(node_b.rect)
+
+    def test_cached_cell_vectors_are_read_only(self):
+        # The cached vector is shipped on the wire as is; nobody may write into it.
+        dataset = SpatialDataset.from_coordinates("d", [(1, 5), (4, 2)])
+        lazy = DatasetNode(dataset_id="l", rect=BoundingBox(0, 0, 1, 1), cells=frozenset({3, 1}))
+        arrays = (
+            dataset.to_node(GRID).cells_array,
+            dataset.to_cell_set(GRID).cells_array,
+            DatasetNode.from_cells("c", {5, 2}, GRID).cells_array,
+            lazy.cells_array,
+            CellSet(dataset_id="s", cells=frozenset({4})).cells_array,
+        )
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_from_cell_set_constructor(self):
         cell_set = CellSet(dataset_id="cs", cells=frozenset({5, 6}))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,6 +134,22 @@ class TestRescaling:
         grid = Grid(theta=5)
         for cell in [0, 7, 100]:
             assert grid.rescale_cell(cell, grid) == cell
+        cells = np.array([0, 7, 100], dtype=np.int64)
+        assert grid.rescale_cells_batch(cells, grid) is cells
+
+    @pytest.mark.parametrize("thetas", [(12, 10), (10, 12), (12, 13)])
+    def test_batch_rescale_equals_per_cell_reference(self, thetas):
+        center, source = (Grid(theta=theta) for theta in thetas)
+        rng = np.random.default_rng(sum(thetas))
+        region = BoundingBox(-77.5, 38.5, -76.5, 39.5)
+        xs = rng.uniform(region.min_x, region.max_x, 400)
+        ys = rng.uniform(region.min_y, region.max_y, 400)
+        for grid, target in ((center, source), (source, center)):
+            cells = grid.cell_ids_of_batch(np.column_stack([xs, ys]))
+            expected = sorted({grid.rescale_cell(int(cell), target) for cell in cells})
+            batch = grid.rescale_cells_batch(cells, target)
+            assert batch.dtype == np.int64
+            assert batch.tolist() == expected
 
 
 class TestGridProperties:

@@ -153,3 +153,44 @@ class TestMixedResolutionSources:
         assert "fine" in sources_seen
         # The coarse source participates too (its datasets cover the region).
         assert "coarse" in sources_seen
+
+    #: CJSP answers (source, dataset, marginal gain), total coverage and channel
+    #: bytes recorded from the per-cell ``rescale_cell`` translation; the batch
+    #: translation must reproduce them exactly.
+    RECORDED_COVERAGE = {
+        (12, 10): (
+            [("fine", "fine-1", 9.0), ("fine", "fine-2", 8.0), ("fine", "fine-9", 7.0),
+             ("fine", "fine-7", 6.0), ("fine", "fine-0", 5.0)],
+            40,
+            1012,
+        ),
+        (10, 12): (
+            [("fine", "fine-9", 4.0), ("mixed", "mixed-3", 4.0), ("fine", "fine-4", 3.0),
+             ("mixed", "mixed-5", 2.0), ("fine", "fine-0", 1.0)],
+            16,
+            796,
+        ),
+        (12, 13): (
+            [("mixed", "mixed-7", 11.0), ("fine", "fine-1", 9.0), ("mixed", "mixed-1", 9.0),
+             ("mixed", "mixed-3", 8.0), ("fine", "fine-2", 6.0)],
+            48,
+            1212,
+        ),
+    }
+
+    @pytest.mark.parametrize("thetas", sorted(RECORDED_COVERAGE))
+    def test_coverage_search_across_resolutions(self, thetas):
+        center_theta, source_theta = thetas
+        fw = MultiSourceFramework(theta=center_theta, leaf_capacity=6)
+        fw.add_source("fine", make_datasets(REGION_A, 10, seed=30, prefix="fine"))
+        fw.add_source(
+            "mixed", make_datasets(REGION_A, 10, seed=31, prefix="mixed"), theta=source_theta
+        )
+        query = fw.query_from_dataset(make_datasets(REGION_A, 1, seed=32, prefix="q")[0])
+        fw.reset_communication_stats()
+        result = fw.coverage_search(query, k=5, delta=10.0)
+        entries, total_coverage, total_bytes = self.RECORDED_COVERAGE[thetas]
+        assert [(e.source_id, e.dataset_id, e.score) for e in result] == entries
+        assert result.total_coverage == total_coverage
+        assert fw.communication_stats().total_bytes == total_bytes
+        fw.close()

@@ -12,7 +12,11 @@ from repro.core.grid import Grid
 from repro.data.generators import generate_cluster_dataset, generate_route_dataset
 from repro.distributed.center import DataCenter, DistributionPolicy
 from repro.distributed.channel import SimulatedChannel
-from repro.distributed.messages import CoverageRequest, OverlapRequest
+from repro.distributed.messages import (
+    CoverageRequest,
+    CoverageResponse,
+    OverlapRequest,
+)
 from repro.distributed.source import DataSource, grid_rect_to_geo
 
 REGION_WEST = BoundingBox(-77.5, 38.5, -76.5, 39.5)
@@ -76,7 +80,7 @@ class TestDataSource:
         query_node = make_datasets(REGION_WEST, 1, seed=3, prefix="q")[0].to_node(grid)
         request = OverlapRequest(
             query_id="q0",
-            cells=tuple(sorted(query_node.cells)),
+            cells=np.array(sorted(query_node.cells), dtype=np.int64),
             query_rect=(0, 0, 1, 1),
             k=4,
         )
@@ -87,14 +91,16 @@ class TestDataSource:
         assert scores == sorted(scores, reverse=True)
 
     def test_handle_overlap_empty_cells(self, west_source, grid):
-        request = OverlapRequest(query_id="q0", cells=(), query_rect=(0, 0, 1, 1), k=3)
+        request = OverlapRequest(
+            query_id="q0", cells=np.array([], dtype=np.int64), query_rect=(0, 0, 1, 1), k=3
+        )
         assert west_source.handle_overlap(request, grid).results == ()
 
     def test_handle_coverage_returns_selections_with_cells(self, west_source, grid):
         query_node = make_datasets(REGION_WEST, 1, seed=4, prefix="q")[0].to_node(grid)
         request = CoverageRequest(
             query_id="q1",
-            cells=tuple(sorted(query_node.cells)),
+            cells=np.array(sorted(query_node.cells), dtype=np.int64),
             query_rect=(0, 0, 1, 1),
             k=3,
             delta=10.0,
@@ -104,6 +110,10 @@ class TestDataSource:
         for dataset_id, cells in response.selections:
             assert dataset_id in west_source.index
             assert len(cells) > 0
+            # A same-grid selection ships the stored node's cached vector.
+            assert cells is west_source.index.get(dataset_id).cells_array
+            with pytest.raises(ValueError):
+                cells[0] = 0
 
     def test_grid_rect_to_geo_maps_into_space(self, grid):
         rect_geo = grid_rect_to_geo(grid, BoundingBox(0, 0, 10, 10))
@@ -115,7 +125,7 @@ class TestDataSource:
         coarse.load_datasets(make_datasets(REGION_WEST, 10, seed=6, prefix="c"))
         query_node = make_datasets(REGION_WEST, 1, seed=7, prefix="q")[0].to_node(grid)
         request = OverlapRequest(
-            query_id="q", cells=tuple(sorted(query_node.cells)), query_rect=(0, 0, 1, 1), k=3
+            query_id="q", cells=np.array(sorted(query_node.cells), dtype=np.int64), query_rect=(0, 0, 1, 1), k=3
         )
         response = coarse.handle_overlap(request, grid)
         # Results exist and are expressed as the coarse source's dataset IDs.
@@ -206,3 +216,52 @@ class TestDataCenter:
         # Clipping keeps the cells relevant to each source, so coverage should
         # not differ by more than rounding at the source boundary.
         assert abs(results[0] - results[1]) <= max(2, 0.05 * results[1])
+
+
+class RecordingChannel(SimulatedChannel):
+    """A channel that keeps every message it carries."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages: list[object] = []
+
+    def send(self, message: object, destination: str, to_center: bool = False) -> int:
+        self.messages.append(message)
+        return super().send(message, destination, to_center)
+
+
+class TestWireCells:
+    """Cells on the wire are sorted, unique, read-only int64 arrays."""
+
+    @pytest.mark.parametrize("clip", [True, False])
+    @pytest.mark.parametrize("coarse_theta", [None, 10])
+    def test_every_cell_array_on_the_wire_is_read_only(self, grid, west_source, clip, coarse_theta):
+        channel = RecordingChannel()
+        center = DataCenter(
+            grid=grid, channel=channel, policy=DistributionPolicy(clip_query=clip)
+        )
+        center.register_source(west_source)
+        if coarse_theta is not None:
+            coarse = DataSource("coarse", Grid(theta=coarse_theta), leaf_capacity=4)
+            coarse.load_datasets(make_datasets(REGION_WEST, 10, seed=6, prefix="c"))
+            center.register_source(coarse)
+        query = make_datasets(REGION_WEST, 1, seed=9, prefix="q")[0].to_node(grid)
+        center.overlap_search(query, k=5)
+        center.coverage_search(query, k=4, delta=10.0)
+
+        arrays = []
+        for message in channel.messages:
+            if isinstance(message, (OverlapRequest, CoverageRequest)):
+                arrays.append(message.cells)
+            elif isinstance(message, CoverageResponse):
+                arrays.extend(cells for _, cells in message.selections)
+        assert any(isinstance(m, CoverageResponse) and m.selections for m in channel.messages)
+        for cells in arrays:
+            assert cells.dtype == np.int64 and cells.ndim == 1 and len(cells) > 0
+            assert np.all(cells[1:] > cells[:-1])
+            with pytest.raises(ValueError):
+                cells[0] = 0
+        if not clip:
+            # The unclipped payload is the query node's own cached vector.
+            assert any(cells is query.cells_array for cells in arrays)
+        center.close()
