@@ -45,7 +45,7 @@ def test_fig21_single_index_insert_batch(benchmark, workbench: Workbench, index_
         DatasetNode(
             dataset_id=f"bench-new-{i}",
             rect=node.rect,
-            cells=node.cells,
+            cells_array=node.cells_array,
             point_count=node.point_count,
         )
         for i, node in enumerate(workbench.all_nodes()[:20])

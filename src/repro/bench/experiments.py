@@ -594,7 +594,10 @@ def fig21_22_index_updates(
     # Re-identify the extra nodes so they never collide with indexed IDs.
     extra_nodes = [
         DatasetNode(
-            dataset_id=f"new-{i}", rect=node.rect, cells=node.cells, point_count=node.point_count
+            dataset_id=f"new-{i}",
+            rect=node.rect,
+            cells_array=node.cells_array,
+            point_count=node.point_count,
         )
         for i, node in enumerate(extra_nodes)
     ]
@@ -617,7 +620,7 @@ def fig21_22_index_updates(
                 DatasetNode(
                     dataset_id=node.dataset_id,
                     rect=node.rect,
-                    cells=node.cells,
+                    cells_array=node.cells_array,
                     point_count=node.point_count,
                 )
                 for node in to_update

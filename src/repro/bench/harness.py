@@ -90,13 +90,6 @@ class Workbench:
             )
         return self._datasets[source_name]
 
-    def all_datasets(self) -> list[SpatialDataset]:
-        """Datasets of every configured source, concatenated."""
-        combined: list[SpatialDataset] = []
-        for source_name in self.config.sources:
-            combined.extend(self.datasets_of(source_name))
-        return combined
-
     def nodes_of(self, source_name: str) -> list[DatasetNode]:
         """Gridded dataset nodes of ``source_name`` under the configured grid."""
         key = f"{source_name}@{self.config.theta}"

@@ -31,14 +31,34 @@ __all__ = ["SpatialDataset", "CellSet", "DatasetNode"]
 DatasetId = str
 
 
-def _cached_cells_array(obj: "CellSet | DatasetNode") -> np.ndarray:
-    """Shared lazy cache: sorted read-only int64 vector of ``obj.cells``, computed once."""
-    array = obj._cells_array
-    if array is None:
-        array = cellsets.as_cell_array(obj.cells)
-        array.flags.writeable = False
-        object.__setattr__(obj, "_cells_array", array)
+def _frozen_cell_array(cells: "Iterable[int] | np.ndarray") -> np.ndarray:
+    """The one stored cell form: a sorted, unique, read-only int64 vector.
+
+    An int64 vector that owns its data and is already sorted and unique is
+    adopted (and frozen) in place, so nodes built from another node's vector
+    share it; anything else is converted into a fresh vector.
+    """
+    if (
+        isinstance(cells, np.ndarray)
+        and cells.dtype == cellsets.CELL_DTYPE
+        and cells.ndim == 1
+        and cells.flags.owndata
+        and bool(np.all(cells[1:] > cells[:-1]))
+    ):
+        array = cells
+    else:
+        array = cellsets.as_cell_array(cells)
+    array.flags.writeable = False
     return array
+
+
+def _cells_view(obj: "CellSet | DatasetNode") -> frozenset[int]:
+    """Shared lazy cache: ``obj.cells_array`` as a frozenset, built on first access."""
+    view = obj._cells_view
+    if view is None:
+        view = frozenset(obj.cells_array.tolist())
+        object.__setattr__(obj, "_cells_view", view)
+    return view
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,44 +100,53 @@ class SpatialDataset:
         """Discretise the dataset onto ``grid`` (Definition 5).
 
         Runs one vectorized discretisation pass over all points instead of a
-        per-point Python loop; the resulting sorted cell vector is cached on
-        the cell set so later set algebra can reuse it.
+        per-point Python loop.
         """
-        array = grid.cell_ids_of_batch(self.points)
-        array.flags.writeable = False
-        cell_set = CellSet(dataset_id=self.dataset_id, cells=frozenset(array.tolist()))
-        object.__setattr__(cell_set, "_cells_array", array)
-        return cell_set
+        return CellSet(dataset_id=self.dataset_id, cells_array=grid.cell_ids_of_batch(self.points))
 
     def to_node(self, grid: Grid) -> "DatasetNode":
         """Build the DITS dataset node for this dataset under ``grid``."""
         return DatasetNode.from_dataset(self, grid)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CellSet:
-    """A cell-based dataset: the set of grid cell IDs covered by a dataset."""
+    """A cell-based dataset: the set of grid cell IDs covered by a dataset.
+
+    ``cells_array`` (sorted, unique, read-only int64) is the one stored form;
+    ``cells`` is a frozenset view of it, built on first access and cached.
+    """
 
     dataset_id: DatasetId
-    cells: frozenset[int]
-    _cells_array: "np.ndarray | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    cells_array: np.ndarray
+    _cells_view: "frozenset[int] | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.cells:
+        array = _frozen_cell_array(self.cells_array)
+        if array.size == 0:
             raise EmptyDatasetError(f"cell set {self.dataset_id!r} is empty")
+        object.__setattr__(self, "cells_array", array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CellSet):
+            return NotImplemented
+        return self.dataset_id == other.dataset_id and np.array_equal(
+            self.cells_array, other.cells_array
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dataset_id, self.cells_array.tobytes()))
 
     @property
-    def cells_array(self) -> np.ndarray:
-        """Sorted int64 vector of the cell IDs (computed once, then cached)."""
-        return _cached_cells_array(self)
+    def cells(self) -> frozenset[int]:
+        """The cell IDs as a frozenset (a view built once, then cached)."""
+        return _cells_view(self)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.cells_array.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.cells)
+        return iter(self.cells_array.tolist())
 
     def __contains__(self, cell_id: int) -> bool:
         return cell_id in self.cells
@@ -125,25 +154,17 @@ class CellSet:
     @property
     def coverage(self) -> int:
         """Spatial coverage: the number of distinct cells."""
-        return len(self.cells)
+        return self.cells_array.size
 
-    def overlap_with(self, other: "CellSet | frozenset[int] | set[int]") -> int:
+    def overlap_with(self, other: "CellSet | Iterable[int]") -> int:
         """Size of the intersection with another cell set."""
-        if isinstance(other, CellSet):
-            if cellsets.use_vector():
-                return cellsets.intersection_size(self.cells_array, other.cells_array)
-            other_cells = other.cells
-        else:
-            other_cells = other
-        return len(self.cells & other_cells)
-
-    def union_with(self, other: "CellSet | frozenset[int] | set[int]") -> frozenset[int]:
-        """Union of the two cell sets."""
-        other_cells = other.cells if isinstance(other, CellSet) else other
-        return self.cells | other_cells
+        other_array = (
+            other.cells_array if isinstance(other, CellSet) else cellsets.as_cell_array(other)
+        )
+        return cellsets.intersection_size(self.cells_array, other_array)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DatasetNode:
     """A DITS dataset node (Definition 12).
 
@@ -160,27 +181,42 @@ class DatasetNode:
         Centre of ``rect``.
     radius:
         Half of the diagonal of ``rect``.
-    cells:
-        The cell-based dataset.
+    cells_array:
+        The cell-based dataset: sorted, unique, read-only int64 cell IDs, the
+        one stored form.  ``cells`` is a frozenset view of it, built on first
+        access and cached; the store, index and CJSP paths never build it.
     point_count:
         Number of raw points, kept for statistics and size accounting.
     """
 
     dataset_id: DatasetId
     rect: BoundingBox
-    cells: frozenset[int]
+    cells_array: np.ndarray
     point_count: int = 0
     pivot: Point = field(init=False)
     radius: float = field(init=False)
-    _cells_array: "np.ndarray | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _cells_view: "frozenset[int] | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.cells:
+        array = _frozen_cell_array(self.cells_array)
+        if array.size == 0:
             raise EmptyDatasetError(f"dataset node {self.dataset_id!r} has no cells")
+        object.__setattr__(self, "cells_array", array)
         object.__setattr__(self, "pivot", self.rect.center)
         object.__setattr__(self, "radius", self.rect.radius)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DatasetNode):
+            return NotImplemented
+        return (
+            self.dataset_id == other.dataset_id
+            and self.rect == other.rect
+            and self.point_count == other.point_count
+            and np.array_equal(self.cells_array, other.cells_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dataset_id, self.rect, self.point_count, self.cells_array.tobytes()))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -189,78 +225,50 @@ class DatasetNode:
     def from_dataset(cls, dataset: SpatialDataset, grid: Grid) -> "DatasetNode":
         """Build a node from raw points: discretise, then take the cell MBR."""
         array = grid.cell_ids_of_batch(dataset.points)
-        return cls._from_cell_array(
-            dataset.dataset_id, array, grid, point_count=len(dataset)
-        )
+        return cls.from_cells(dataset.dataset_id, array, grid, point_count=len(dataset))
 
     @classmethod
     def from_cells(
         cls,
         dataset_id: DatasetId,
-        cells: Iterable[int],
+        cells: "Iterable[int] | np.ndarray",
         grid: Grid,
         point_count: int = 0,
     ) -> "DatasetNode":
-        """Build a node directly from cell IDs under ``grid``."""
-        array = cellsets.as_cell_array(cells)
+        """Build a node from cell IDs under ``grid`` (one batch MBR computation)."""
+        array = _frozen_cell_array(cells)
         if array.size == 0:
             raise EmptyDatasetError(f"dataset node {dataset_id!r} has no cells")
-        return cls._from_cell_array(dataset_id, array, grid, point_count)
-
-    @classmethod
-    def _from_cell_array(
-        cls,
-        dataset_id: DatasetId,
-        array: np.ndarray,
-        grid: Grid,
-        point_count: int = 0,
-    ) -> "DatasetNode":
-        """Build a node from a sorted cell vector (one batch MBR computation)."""
         cols, rows = grid.cells_to_coords_batch(array)
         rect = BoundingBox(
             int(cols.min()), int(rows.min()), int(cols.max()), int(rows.max())
         )
-        node = cls(
+        return cls(
             dataset_id=dataset_id,
             rect=rect,
-            cells=frozenset(array.tolist()),
+            cells_array=array,
             point_count=point_count or int(array.size),
         )
-        array.flags.writeable = False
-        object.__setattr__(node, "_cells_array", array)
-        return node
-
-    @property
-    def cells_array(self) -> np.ndarray:
-        """Sorted int64 vector of the cell IDs (computed once, then cached)."""
-        return _cached_cells_array(self)
-
-    @classmethod
-    def from_cell_set(cls, cell_set: CellSet, grid: Grid, point_count: int = 0) -> "DatasetNode":
-        """Build a node from an existing :class:`CellSet`."""
-        return cls.from_cells(cell_set.dataset_id, cell_set.cells, grid, point_count)
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     @property
+    def cells(self) -> frozenset[int]:
+        """The cell IDs as a frozenset (a view built once, then cached)."""
+        return _cells_view(self)
+
+    @property
     def coverage(self) -> int:
         """Number of distinct cells covered by the dataset."""
-        return len(self.cells)
+        return self.cells_array.size
 
-    def overlap_with(self, other: "DatasetNode | frozenset[int] | set[int]") -> int:
+    def overlap_with(self, other: "DatasetNode | Iterable[int]") -> int:
         """Intersection size with another node or raw cell set."""
-        if isinstance(other, DatasetNode):
-            if cellsets.use_vector():
-                return cellsets.intersection_size(self.cells_array, other.cells_array)
-            other_cells = other.cells
-        else:
-            other_cells = other
-        return len(self.cells & other_cells)
-
-    def as_cell_set(self) -> CellSet:
-        """The node's cell-based dataset as a :class:`CellSet`."""
-        return CellSet(dataset_id=self.dataset_id, cells=self.cells)
+        other_array = (
+            other.cells_array if isinstance(other, DatasetNode) else cellsets.as_cell_array(other)
+        )
+        return cellsets.intersection_size(self.cells_array, other_array)
 
     def wire_payload(self) -> dict[str, object]:
         """Compact representation used for communication-byte accounting."""
@@ -280,6 +288,6 @@ class DatasetNode:
         return DatasetNode(
             dataset_id=merged_id,
             rect=self.rect.union(other.rect),
-            cells=self.cells | other.cells,
+            cells_array=cellsets.union(self.cells_array, other.cells_array),
             point_count=self.point_count + other.point_count,
         )

@@ -40,7 +40,7 @@ Two structural facts are additionally exploited:
   does not depend on whether SciPy treats the bound inclusively.
 
 Cache coherence is by *identity*: an entry is only reused while the node's
-``cells`` frozenset is the same object that populated it.  Rebuilding a
+``cells_array`` is the same object that populated it.  Rebuilding a
 dataset under the same id (a refreshed source, a different grid resolution,
 CoverageSearch's per-iteration ``__merged_query__`` node) therefore can never
 serve stale geometry — the entry is invalidated and recomputed.
@@ -143,10 +143,10 @@ class DistanceCacheInfo(NamedTuple):
 class _NodeGeometry:
     """Cached geometry of one dataset node: decoded coords + lazy KD-tree."""
 
-    __slots__ = ("cells", "coords", "tree")
+    __slots__ = ("cells_array", "coords", "tree")
 
-    def __init__(self, cells: frozenset[int], coords: np.ndarray) -> None:
-        self.cells = cells  # identity token guarding reuse
+    def __init__(self, cells_array: np.ndarray, coords: np.ndarray) -> None:
+        self.cells_array = cells_array  # identity token guarding reuse
         self.coords = coords
         self.tree: cKDTree | None = None
 
@@ -186,11 +186,11 @@ class DistanceEngine:
 
     def _geometry_of(self, node: DatasetNode) -> _NodeGeometry:
         key = node.dataset_id
-        cells = node.cells
+        cells_array = node.cells_array
         with self._lock:
             entry = self._cache.get(key)
             if entry is not None:
-                if entry.cells is cells:
+                if entry.cells_array is cells_array:
                     self._hits += 1
                     self._cache.move_to_end(key)
                     return entry
@@ -198,8 +198,8 @@ class DistanceEngine:
                 # grid resolution, a rebuilt merged node): never reuse.
                 self._invalidations += 1
             self._misses += 1
-        coords = cell_coords_of_array(node.cells_array)
-        entry = _NodeGeometry(cells, coords)
+        coords = cell_coords_of_array(cells_array)
+        entry = _NodeGeometry(cells_array, coords)
         with self._lock:
             self._cache[key] = entry
             self._cache.move_to_end(key)
@@ -211,10 +211,6 @@ class DistanceEngine:
     def coords_of(self, node: DatasetNode) -> np.ndarray:
         """Decoded ``(n, 2)`` coordinate array of ``node``'s cells (cached)."""
         return self._geometry_of(node).coords
-
-    def tree_of(self, node: DatasetNode) -> cKDTree:
-        """Reusable KD-tree over ``node``'s cell coordinates (cached, lazy)."""
-        return self._tree_for(self._geometry_of(node))
 
     def _tree_for(self, entry: _NodeGeometry) -> cKDTree:
         tree = entry.tree

@@ -67,7 +67,7 @@ class DistributionPolicy:
 class _QueryCellView:
     """Per-search cache of a query's decoded cell centres, for clipping.
 
-    Requests carry the query's cached sorted cell vector (or a masked slice
+    Requests carry the query's stored sorted cell vector (or a masked slice
     of it), read-only, with no per-candidate conversion.  The geographic
     centres of all query cells are batch-decoded lazily on the first clip so
     that every candidate rectangle costs one numpy mask instead of a per-cell
@@ -78,7 +78,7 @@ class _QueryCellView:
 
     def __init__(self, query: DatasetNode, grid: Grid) -> None:
         self._grid = grid
-        self._array = query.cells_array  # sorted unique read-only int64, cached on the node
+        self._array = query.cells_array  # sorted unique read-only int64, stored on the node
         self._xs: np.ndarray | None = None
         self._ys: np.ndarray | None = None
 

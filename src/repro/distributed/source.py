@@ -138,7 +138,7 @@ class DataSource:
 
         The response carries, for every locally selected dataset, the sorted
         vector of all cells it covers translated back into the *center's*
-        grid (on a same-grid source, the node's own cached vector) so the
+        grid (on a same-grid source, the node's own stored vector) so the
         data center can compute global marginal gains and connectivity.
         """
         query_node = self._request_query_node(request.query_id, request.cells, center_grid)

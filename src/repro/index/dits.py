@@ -26,7 +26,6 @@ keeps the Lemma 2/3/4 pruning bounds as strong as on a freshly built tree.
 
 from __future__ import annotations
 
-import statistics
 from typing import Callable, Iterable, Iterator
 
 from repro.core.dataset import DatasetNode
@@ -167,7 +166,7 @@ class LeafNode(TreeNode):
         inverted: dict[int, dict[str, int]] = {}
         for entry in self.entries:
             dataset_id = entry.dataset_id
-            for cell in entry.cells:
+            for cell in entry.cells_array.tolist():
                 postings = inverted.get(cell)
                 if postings is None:
                     inverted[cell] = {dataset_id: 1}
@@ -182,7 +181,7 @@ class LeafNode(TreeNode):
         self.size = len(self.entries)
         dataset_id = node.dataset_id
         inverted = self.inverted
-        for cell in node.cells:
+        for cell in node.cells_array.tolist():
             postings = inverted.get(cell)
             if postings is None:
                 inverted[cell] = {dataset_id: 1}
@@ -201,7 +200,7 @@ class LeafNode(TreeNode):
                 removed = self.entries.pop(position)
                 self.size = len(self.entries)
                 inverted = self.inverted
-                for cell in removed.cells:
+                for cell in removed.cells_array.tolist():
                     postings = inverted.get(cell)
                     if postings is None:
                         continue
@@ -645,9 +644,3 @@ def _median_split(
         raise ValueError("cannot split fewer than two entries")
     midpoint = len(ordered) // 2
     return ordered[:midpoint], ordered[midpoint:]
-
-
-def median_pivot(entries: Iterable[DatasetNode], dimension: int) -> float:
-    """Median pivot coordinate along ``dimension`` (exposed for tests)."""
-    values = [entry.pivot.x if dimension == 0 else entry.pivot.y for entry in entries]
-    return statistics.median(values)

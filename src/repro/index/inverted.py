@@ -35,7 +35,7 @@ class STS3Index(DatasetIndex):
         postings: dict[int, set[str]] = {}
         for node in self._nodes.values():
             dataset_id = node.dataset_id
-            for cell in node.cells:
+            for cell in node.cells_array.tolist():
                 cell_postings = postings.get(cell)
                 if cell_postings is None:
                     postings[cell] = {dataset_id}
@@ -44,11 +44,11 @@ class STS3Index(DatasetIndex):
         self._postings = postings
 
     def _insert_structure(self, node: DatasetNode) -> None:
-        for cell in node.cells:
+        for cell in node.cells_array.tolist():
             self._postings.setdefault(cell, set()).add(node.dataset_id)
 
     def _delete_structure(self, node: DatasetNode) -> None:
-        for cell in node.cells:
+        for cell in node.cells_array.tolist():
             postings = self._postings.get(cell)
             if postings is None:
                 continue

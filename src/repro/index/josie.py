@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple
 
 from repro.core.dataset import DatasetNode
 from repro.index.base import DatasetIndex
+from repro.utils import cellsets
 from repro.utils.heaps import BoundedTopK
 
 __all__ = ["JosieIndex", "Posting"]
@@ -67,19 +68,19 @@ class JosieIndex(DatasetIndex):
         # posting list is appended already sorted, so the per-list sorts
         # the incremental insert path needs collapse to no-ops here.
         for node in sorted(
-            self._nodes.values(), key=lambda n: (len(n.cells), n.dataset_id)
+            self._nodes.values(), key=lambda n: (n.coverage, n.dataset_id)
         ):
             self._add_postings(node)
         self._refresh_frequencies()
 
     def _insert_structure(self, node: DatasetNode) -> None:
         self._add_postings(node)
-        for cell in node.cells:
+        for cell in node.cells_array.tolist():
             self._postings[cell].sort(key=_posting_order)
         self._refresh_frequencies()
 
     def _delete_structure(self, node: DatasetNode) -> None:
-        for cell in node.cells:
+        for cell in node.cells_array.tolist():
             postings = self._postings.get(cell)
             if postings is None:
                 continue
@@ -124,8 +125,8 @@ class JosieIndex(DatasetIndex):
 
         Tokens are scanned from rarest to most frequent.  The first time a
         dataset is encountered its exact overlap with the query is verified
-        (one hash intersection) and inserted into a bounded top-k heap.  Two
-        prunes keep the scan short:
+        (one sorted-array intersection) and inserted into a bounded top-k
+        heap.  Two prunes keep the scan short:
 
         * a dataset whose size (or the remaining query suffix) cannot exceed
           the current k-th best overlap is skipped without verification;
@@ -135,6 +136,7 @@ class JosieIndex(DatasetIndex):
           cannot beat it.
         """
         query_set = set(query_cells)
+        query_array = cellsets.as_cell_array(query_set)
         query = sorted(query_set, key=lambda cell: (self.token_frequency(cell), cell))
         query_size = len(query)
         if query_size == 0 or not self._postings:
@@ -163,7 +165,7 @@ class JosieIndex(DatasetIndex):
                 node = self._nodes.get(dataset_id)
                 if node is None:
                     continue
-                overlap = len(node.cells & query_set)
+                overlap = cellsets.intersection_size(node.cells_array, query_array)
                 verified[dataset_id] = overlap
                 heap.push(float(overlap), dataset_id)
 

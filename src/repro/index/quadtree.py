@@ -335,13 +335,13 @@ class QuadTreeIndex(DatasetIndex):
         if self._tree is None or self._space is None or not self._space.contains_box(node.rect):
             self._rebuild()
             return
-        for cell in node.cells:
+        for cell in node.cells_array.tolist():
             self._tree.insert(cell, node.dataset_id, _cell_position(cell))
 
     def _delete_structure(self, node: DatasetNode) -> None:
         if self._tree is None:
             return
-        for cell in node.cells:
+        for cell in node.cells_array.tolist():
             self._tree.remove(cell, node.dataset_id, _cell_position(cell))
 
     # ------------------------------------------------------------------ #
@@ -359,7 +359,7 @@ class QuadTreeIndex(DatasetIndex):
 
     def total_occurrences(self) -> int:
         """Total number of stored (cell, dataset) items."""
-        return sum(len(node.cells) for node in self._nodes.values())
+        return sum(node.coverage for node in self._nodes.values())
 
 
 def _cell_position(cell_id: int) -> Point:

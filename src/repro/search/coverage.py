@@ -33,10 +33,10 @@ Three further accelerations are layered on top without changing any result:
   distance from any dataset to it is monotonically non-increasing across
   iterations.  A dataset found connected once therefore stays connected;
   its (potentially expensive) exact distance check is never repeated.
-* **Merge-kernel gains** — with the vectorized cell-set backend the covered
-  set is a sorted cell vector, marginal gains are ``difference_size`` merge
-  kernels and the covered set is advanced with one vectorized union per
-  iteration, instead of rebuilding Python set differences/unions.
+* **Merge-kernel gains** — the covered set is a sorted cell vector,
+  marginal gains are ``difference_size`` merge kernels and the covered set
+  is advanced with one vectorized union per iteration, instead of
+  rebuilding Python set differences/unions.
 * **Batched leaf verification** — the leaf entries whose Lemma 4 bounds are
   indecisive are accumulated during the tree traversal and resolved with one
   δ-bounded :class:`~repro.core.distance_engine.DistanceEngine` kernel call
@@ -174,18 +174,14 @@ class GreedyCover:
     """Algorithm 3's greedy state: the covered set and each round's choice.
 
     The caller finds the round's connected candidates, :meth:`pick` chooses
-    among them and :meth:`add` records the choice.  This is the one place on
-    the CJSP path that consults the cell-set backend: the covered set is a
-    sorted cell vector advanced by merge kernels, or, under the ``frozenset``
-    reference backend, a Python set.
+    among them and :meth:`add` records the choice.  The covered set is a
+    sorted cell vector: gains are ``difference_size`` merge kernels and each
+    selection advances it with one vectorized union.
     """
 
     def __init__(self, query: DatasetNode) -> None:
-        self._query_coverage = len(query.cells)
-        self._use_vector = cellsets.use_vector()
-        # Only the active backend's form of the covered set is kept current.
+        self._query_coverage = query.coverage
         self._covered_array = query.cells_array
-        self._covered_set: set[int] = set() if self._use_vector else set(query.cells)
         self._entries: list[ScoredDataset] = []
 
     def pick(  # parity-critical
@@ -202,16 +198,13 @@ class GreedyCover:
         best_node: DatasetNode | None = None
         best_gain = 0
         for candidate in candidates:
-            if len(candidate.cells) <= best_gain:
+            if candidate.coverage <= best_gain:
                 if stats is not None:
                     stats.gain_skips += 1
                 continue
             if stats is not None:
                 stats.gain_evaluations += 1
-            if self._use_vector:
-                gain = cellsets.difference_size(candidate.cells_array, self._covered_array)
-            else:
-                gain = len(candidate.cells - self._covered_set)
+            gain = cellsets.difference_size(candidate.cells_array, self._covered_array)
             if gain > best_gain or (
                 gain == best_gain
                 and best_node is not None
@@ -223,20 +216,16 @@ class GreedyCover:
 
     def add(self, node: DatasetNode, gain: int, source_id: str | None = None) -> None:  # parity-critical
         """Record ``node`` as this round's selection and cover its cells."""
-        if self._use_vector:
-            self._covered_array = cellsets.union(self._covered_array, node.cells_array)
-        else:
-            self._covered_set |= node.cells
+        self._covered_array = cellsets.union(self._covered_array, node.cells_array)
         self._entries.append(
             ScoredDataset(dataset_id=node.dataset_id, score=float(gain), source_id=source_id)
         )
 
     def result(self) -> CoverageResult:
         """The selections so far, in selection order, with the CJSP objective."""
-        covered = self._covered_array if self._use_vector else self._covered_set
         return CoverageResult(
             entries=tuple(self._entries),
-            total_coverage=len(covered),
+            total_coverage=self._covered_array.size,
             query_coverage=self._query_coverage,
         )
 
@@ -293,7 +282,7 @@ class CoverageSearch:
             connected_ids.update(candidate.dataset_id for candidate in candidates)
             # Sort by descending cell count so the size filter (|S_D| > tau)
             # triggers as early as possible.
-            candidates.sort(key=lambda c: (-len(c.cells), c.dataset_id))
+            candidates.sort(key=lambda c: (-c.coverage, c.dataset_id))
             picked = cover.pick(candidates, stats)
             if picked is None:
                 # Either nothing is connected or nothing adds new coverage;

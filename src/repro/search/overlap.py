@@ -21,7 +21,7 @@ The algorithm has a filter phase and a verification phase:
 The result is exact, and since every dataset tied with the k-th best score
 is provably verified (its leaf's upper bound is at least that score), the
 canonical tie-breaking makes the answer a pure function of the indexed
-dataset set: identical across cell-set backends *and* across tree shapes, so
+dataset set: identical to frozenset arithmetic *and* across tree shapes, so
 an incrementally mutated (and rebalanced) DITS-L returns bit-identical
 results to a freshly rebuilt one.  When fewer than ``k`` datasets overlap
 the query but at least one does, the remainder is filled with zero-score

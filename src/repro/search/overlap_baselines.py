@@ -28,6 +28,7 @@ from repro.index.inverted import STS3Index
 from repro.index.josie import JosieIndex
 from repro.index.quadtree import QuadTreeIndex
 from repro.index.rtree import RTreeIndex
+from repro.utils import cellsets
 from repro.utils.heaps import BoundedTopK
 
 __all__ = [
@@ -85,9 +86,9 @@ class RTreeOverlap:
     def search_node(self, query: DatasetNode, k: int) -> OverlapResult:
         """Top-k overlap for ``query``."""
         heap: BoundedTopK[str] = BoundedTopK(k)
-        query_cells = query.cells
+        query_array = query.cells_array
         for node in self._index.intersecting(query.rect):
-            overlap = len(node.cells & query_cells)
+            overlap = cellsets.intersection_size(node.cells_array, query_array)
             heap.push(float(overlap), node.dataset_id)
         return OverlapResult.from_pairs(
             (dataset_id, score) for score, dataset_id in heap.items()

@@ -1,38 +1,28 @@
-"""Vectorized cell-set engine: sorted-array kernels for cell-based datasets.
+"""Sorted-array kernels: the set algebra of cell-based datasets.
 
 Every search algorithm in the paper ultimately reduces to set algebra over
 *cell-based datasets* (Definition 5): intersection sizes for OJSP overlap
 scores (Definition 7), difference sizes for CJSP marginal coverage gains
-(Algorithm 3) and unions for the running covered set.  The seed reproduction
-performed all of that with Python ``frozenset`` operations, which allocate a
-hash probe per element; this module provides the vectorized alternative.
+(Algorithm 3) and unions for the running covered set.
 
-A cell set is represented as a **sorted, de-duplicated** ``numpy.int64``
-vector.  On sorted vectors the three size kernels need no intermediate
-result sets: membership of the smaller vector in the larger one is resolved
-with one C-level :func:`numpy.searchsorted` sweep (a galloping merge), so
+A cell set is a **sorted, de-duplicated** ``numpy.int64`` vector, the one
+form ``DatasetNode``/``CellSet`` store and the wire carries.  On sorted
+vectors the three size kernels need no intermediate result sets: membership
+of the smaller vector in the larger one is resolved with one C-level
+:func:`numpy.searchsorted` sweep (a galloping merge), so
 
 * ``intersection_size(a, b)`` costs ``O(min(m, n) * log(max(m, n)))``
   vectorized element compares and allocates one boolean mask,
 * ``union_size`` and ``difference_size`` are derived from it by
   inclusion–exclusion without materializing the union/difference.
 
-Two backends are exposed so the original ``frozenset`` code paths remain
-available as a bit-for-bit reference implementation:
-
-* ``"vector"`` (default) — the sorted-array kernels of this module;
-* ``"frozenset"`` — the seed's pure-Python set algebra.
-
-The active backend is selected with :func:`set_backend` (or the
-``REPRO_CELLSET_BACKEND`` environment variable) and consulted by
-``DatasetNode``/``OverlapSearch``/``CoverageSearch``.  Both backends are
-required to produce identical search results; the property tests in
-``tests/search/test_backend_parity.py`` enforce that.
+The frozenset arithmetic these kernels replaced survives only as the test
+suite's reference oracle (``tests/set_oracle.py``), which the parity suites
+compare every search path against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
 import numpy as np
@@ -47,47 +37,13 @@ __all__ = [
     "union",
     "difference",
     "contains_all",
-    "get_backend",
-    "set_backend",
-    "use_vector",
 ]
 
 #: Canonical dtype of cell-ID vectors.  ``theta <= 20`` keeps Morton codes
 #: below ``2**40``, far inside the int64 range.
 CELL_DTYPE = np.int64
 
-_VALID_BACKENDS = ("vector", "frozenset")
-
-_backend = os.environ.get("REPRO_CELLSET_BACKEND", "vector")
-if _backend not in _VALID_BACKENDS:
-    raise ValueError(
-        f"REPRO_CELLSET_BACKEND must be one of {_VALID_BACKENDS}, got {_backend!r}"
-    )
-
 _EMPTY = np.empty(0, dtype=CELL_DTYPE)
-
-
-# ---------------------------------------------------------------------- #
-# Backend selection
-# ---------------------------------------------------------------------- #
-def get_backend() -> str:
-    """Name of the active cell-set backend (``"vector"`` or ``"frozenset"``)."""
-    return _backend
-
-
-def set_backend(name: str) -> str:
-    """Select the cell-set backend; returns the previously active one."""
-    global _backend
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    previous = _backend
-    _backend = name
-    return previous
-
-
-def use_vector() -> bool:
-    """Whether the vectorized kernels are the active backend."""
-    return _backend == "vector"
 
 
 # ---------------------------------------------------------------------- #

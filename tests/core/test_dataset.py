@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,24 +51,20 @@ class TestSpatialDataset:
 class TestCellSet:
     def test_empty_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            CellSet(dataset_id="d", cells=frozenset())
+            CellSet(dataset_id="d", cells_array=np.array([], dtype=np.int64))
 
     def test_membership_and_length(self):
-        cell_set = CellSet(dataset_id="d", cells=frozenset({1, 2, 3}))
+        cell_set = CellSet(dataset_id="d", cells_array=np.array([1, 2, 3]))
         assert 2 in cell_set
         assert 9 not in cell_set
         assert len(cell_set) == 3
         assert cell_set.coverage == 3
 
     def test_overlap_with(self):
-        a = CellSet(dataset_id="a", cells=frozenset({1, 2, 3}))
-        b = CellSet(dataset_id="b", cells=frozenset({2, 3, 4}))
+        a = CellSet(dataset_id="a", cells_array=np.array([1, 2, 3]))
+        b = CellSet(dataset_id="b", cells_array=np.array([2, 3, 4]))
         assert a.overlap_with(b) == 2
         assert a.overlap_with({5, 6}) == 0
-
-    def test_union_with(self):
-        a = CellSet(dataset_id="a", cells=frozenset({1, 2}))
-        assert a.union_with({2, 3}) == frozenset({1, 2, 3})
 
 
 class TestDatasetNode:
@@ -93,10 +92,6 @@ class TestDatasetNode:
         assert node_a.overlap_with(node_b) == 1
         assert node_a.overlap_with({1, 9}) == 1
 
-    def test_as_cell_set(self):
-        node = DatasetNode.from_cells("a", {1, 2}, GRID)
-        assert node.as_cell_set().cells == frozenset({1, 2})
-
     def test_wire_payload_is_serialisable(self):
         node = DatasetNode.from_cells("a", {3, 1, 2}, GRID)
         payload = node.wire_payload()
@@ -116,23 +111,19 @@ class TestDatasetNode:
     def test_cached_cell_vectors_are_read_only(self):
         # The cached vector is shipped on the wire as is; nobody may write into it.
         dataset = SpatialDataset.from_coordinates("d", [(1, 5), (4, 2)])
-        lazy = DatasetNode(dataset_id="l", rect=BoundingBox(0, 0, 1, 1), cells=frozenset({3, 1}))
+        direct = DatasetNode(
+            dataset_id="l", rect=BoundingBox(0, 0, 1, 1), cells_array=np.array([3, 1])
+        )
         arrays = (
             dataset.to_node(GRID).cells_array,
             dataset.to_cell_set(GRID).cells_array,
             DatasetNode.from_cells("c", {5, 2}, GRID).cells_array,
-            lazy.cells_array,
-            CellSet(dataset_id="s", cells=frozenset({4})).cells_array,
+            direct.cells_array,
+            CellSet(dataset_id="s", cells_array=np.array([4])).cells_array,
         )
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0
-
-    def test_from_cell_set_constructor(self):
-        cell_set = CellSet(dataset_id="cs", cells=frozenset({5, 6}))
-        node = DatasetNode.from_cell_set(cell_set, GRID)
-        assert node.dataset_id == "cs"
-        assert node.cells == cell_set.cells
 
 
 class TestDatasetNodeProperties:
@@ -157,3 +148,93 @@ class TestDatasetNodeProperties:
         node_b = DatasetNode.from_cells("b", cells_b, GRID)
         merged = node_a.merged_with(node_b)
         assert merged.coverage == len(set(cells_a) | set(cells_b))
+
+
+class TestSingleStoredForm:
+    """The sorted int64 array is the one stored form; ``.cells`` is a lazy view."""
+
+    @pytest.mark.parametrize("cls", [CellSet, DatasetNode])
+    def test_one_constructor_cell_field(self, cls):
+        init_fields = [f.name for f in dataclasses.fields(cls) if f.init and "cell" in f.name]
+        assert init_fields == ["cells_array"]
+
+    def test_view_is_built_once_and_matches_the_array(self):
+        node = DatasetNode.from_cells("a", {9, 3, 5}, GRID)
+        cell_set = CellSet(dataset_id="s", cells_array=np.array([7, 2, 7]))
+        for obj in (node, cell_set):
+            assert obj._cells_view is None
+            view = obj.cells
+            assert obj.cells is view
+            assert view == frozenset(obj.cells_array.tolist())
+
+    def test_array_reads_do_not_build_the_view(self):
+        node_a = DatasetNode.from_cells("a", {1, 2, 3}, GRID)
+        node_b = DatasetNode.from_cells("b", {3, 4}, GRID)
+        node_a.coverage, node_a.overlap_with(node_b), node_a.overlap_with({1, 9})
+        node_a.wire_payload()
+        merged = node_a.merged_with(node_b)
+        assert node_a._cells_view is None and node_b._cells_view is None
+        assert merged._cells_view is None
+
+    def test_constructor_canonicalises_without_touching_the_input(self):
+        raw = np.array([5, 1, 5, 3])
+        node = DatasetNode(dataset_id="d", rect=BoundingBox(0, 0, 1, 1), cells_array=raw)
+        assert node.cells_array.tolist() == [1, 3, 5]
+        assert raw.tolist() == [5, 1, 5, 3] and raw.flags.writeable
+        # A canonical vector is adopted as is, so renamed copies share it.
+        renamed = DatasetNode(dataset_id="r", rect=node.rect, cells_array=node.cells_array)
+        assert renamed.cells_array is node.cells_array
+
+    @given(TestDatasetNodeProperties.cells_strategy, TestDatasetNodeProperties.cells_strategy)
+    def test_merged_with_is_the_frozenset_union(self, cells_a, cells_b):
+        node_a = DatasetNode.from_cells("a", cells_a, GRID)
+        node_b = DatasetNode.from_cells("b", cells_b, GRID)
+        merged = node_a.merged_with(node_b)
+        assert merged.cells == frozenset(cells_a) | frozenset(cells_b)
+        assert merged.cells_array.tolist() == sorted(set(cells_a) | set(cells_b))
+
+
+class TestValueSemantics:
+    """Equality and hashing compare values, as they did when ``cells`` was stored."""
+
+    def test_equal_nodes(self):
+        a = DatasetNode.from_cells("a", {4, 1, 2}, GRID)
+        b = DatasetNode.from_cells("a", [2, 4, 1, 1], GRID)
+        c = DatasetNode(dataset_id="a", rect=a.rect, cells_array=np.array([1, 2, 4]), point_count=3)
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            DatasetNode.from_cells("b", {1, 2, 4}, GRID),
+            DatasetNode.from_cells("a", {1, 2, 5}, GRID),
+            DatasetNode.from_cells("a", {1, 2, 4}, GRID, point_count=9),
+            DatasetNode(
+                dataset_id="a", rect=BoundingBox(0, 0, 9, 9), cells_array=np.array([1, 2, 4])
+            ),
+        ],
+        ids=["id", "cells", "point_count", "rect"],
+    )
+    def test_unequal_nodes(self, other):
+        node = DatasetNode.from_cells("a", {1, 2, 4}, GRID)
+        assert node != other
+        assert hash(node) != hash(other)
+        assert len({node, other}) == 2
+
+    def test_cell_sets(self):
+        a = CellSet(dataset_id="a", cells_array=np.array([3, 1]))
+        assert a == CellSet(dataset_id="a", cells_array=np.array([1, 3, 3]))
+        assert hash(a) == hash(CellSet(dataset_id="a", cells_array=np.array([1, 3])))
+        for other in (
+            CellSet(dataset_id="b", cells_array=np.array([1, 3])),
+            CellSet(dataset_id="a", cells_array=np.array([1, 4])),
+        ):
+            assert a != other and hash(a) != hash(other)
+
+    def test_other_types_are_never_equal(self):
+        node = DatasetNode.from_cells("a", {1}, GRID)
+        cell_set = CellSet(dataset_id="a", cells_array=np.array([1]))
+        assert node != cell_set and cell_set != node
+        assert node != frozenset({1}) and cell_set != frozenset({1})

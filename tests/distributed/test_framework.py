@@ -115,6 +115,23 @@ class TestMultiSourceCoverage:
         assert large.total_coverage >= small.total_coverage
 
 
+class TestSingleStoredCellForm:
+    """Storing, indexing and searching never build a stored node's ``.cells`` view."""
+
+    def test_queries_and_writes_leave_the_view_unbuilt(self, framework):
+        query = framework.query_from_dataset(make_datasets(REGION_A, 1, seed=13, prefix="q")[0])
+        assert any(entry.score > 0 for entry in framework.overlap_search(query, k=5))
+        assert len(framework.coverage_search(query, k=5, delta=10.0)) > 0
+        framework.update_dataset("beta", make_datasets(REGION_B, 1, seed=21, prefix="beta")[0])
+        stored = [
+            node
+            for source_id in framework.source_ids()
+            for node in framework.center.source(source_id).index.nodes()
+        ]
+        assert len(stored) == 55
+        assert [node.dataset_id for node in stored if node._cells_view is not None] == []
+
+
 class TestCommunicationPolicies:
     def build(self, policy: DistributionPolicy) -> MultiSourceFramework:
         fw = MultiSourceFramework(theta=12, leaf_capacity=6, policy=policy)

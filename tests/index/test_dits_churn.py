@@ -2,8 +2,9 @@
 
 This is the harness the PR-5 rebalancer must pass (and the bar every future
 mutation-path change must clear): hypothesis drives random interleaved
-insert/update/delete sequences against every rebalance policy and both
-cell-set backends, then asserts
+insert/update/delete sequences against every rebalance policy, with the
+product's array arithmetic and with the frozenset oracle (``set_oracle.py``),
+then asserts
 
 (a) the leaf registry (``leaf_for``) and ``leaf_ordinals`` stay consistent
     with the ``leaves()`` traversal,
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import DatasetNode
@@ -29,7 +30,8 @@ from repro.index.dits import DITSLocalIndex, InternalNode, LeafNode
 from repro.index.dits_rebalance import RebalancePolicy
 from repro.search.coverage import CoverageSearch
 from repro.search.overlap import OverlapSearch
-from repro.utils import cellsets
+
+from set_oracle import ARITHMETICS, arithmetic
 
 GRID = Grid(theta=8, space=BoundingBox(0, 0, 256, 256))
 
@@ -131,21 +133,10 @@ def check_search_parity(index: DITSLocalIndex, seed: int) -> None:
             assert got == want
 
 
-@pytest.fixture
-def restore_backend():
-    previous = cellsets.get_backend()
-    yield
-    cellsets.set_backend(previous)
-
-
 class TestChurnInvariants:
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    @pytest.mark.parametrize("backend", ["vector", "frozenset"])
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @pytest.mark.parametrize("backend", ARITHMETICS)
+    @settings(max_examples=12, deadline=None)
     @given(
         ops=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=30),
         initial=st.integers(min_value=0, max_value=40),
@@ -153,16 +144,16 @@ class TestChurnInvariants:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_random_churn_keeps_all_invariants(
-        self, restore_backend, policy_name, backend, ops, initial, capacity, seed
+        self, policy_name, backend, ops, initial, capacity, seed
     ):
-        cellsets.set_backend(backend)
-        index = DITSLocalIndex(leaf_capacity=capacity, rebalance=POLICIES[policy_name])
-        rng = np.random.default_rng(seed)
-        index.build([make_node(f"ds-{i:04d}", rng) for i in range(initial)])
-        apply_ops(index, ops, seed)
-        check_registry_and_ordinals(index)
-        check_tree_invariants(index)
-        check_search_parity(index, seed)
+        with arithmetic(backend):
+            index = DITSLocalIndex(leaf_capacity=capacity, rebalance=POLICIES[policy_name])
+            rng = np.random.default_rng(seed)
+            index.build([make_node(f"ds-{i:04d}", rng) for i in range(initial)])
+            apply_ops(index, ops, seed)
+            check_registry_and_ordinals(index)
+            check_tree_invariants(index)
+            check_search_parity(index, seed)
 
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_drain_and_refill(self, policy_name):

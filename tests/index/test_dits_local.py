@@ -222,7 +222,7 @@ class TestMaintenance:
             renamed = DatasetNode(
                 dataset_id="x-" + extra.dataset_id,
                 rect=extra.rect,
-                cells=extra.cells,
+                cells_array=extra.cells_array,
                 point_count=extra.point_count,
             )
             index.insert(renamed)

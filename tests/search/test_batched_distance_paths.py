@@ -6,9 +6,9 @@ the data center's final aggregation) onto the batched
 :class:`~repro.core.distance_engine.DistanceEngine` kernels.  These tests
 pin the contract that the rewiring changed *no result*: each path is
 compared against a pairwise re-implementation that never touches the engine,
-on randomized corpora, under both cell-set backends, and independently of
-the engine's cache state (a 1-entry cache must answer identically to the
-default one).
+on randomized corpora, with the product's array arithmetic and with the
+frozenset oracle (``set_oracle.py``), and independently of the engine's
+cache state (a 1-entry cache must answer identically to the default one).
 """
 
 from __future__ import annotations
@@ -27,16 +27,16 @@ from repro.core.grid import Grid
 from repro.index.dits import DITSLocalIndex
 from repro.search.coverage import CoverageSearch, find_connected_nodes
 from repro.search.coverage_baselines import StandardGreedy
-from repro.utils import cellsets
+
+from set_oracle import ARITHMETICS, arithmetic
 
 GRID = Grid(theta=8, space=BoundingBox(0, 0, 256, 256))
 
 
-@pytest.fixture(params=["vector", "frozenset"])
+@pytest.fixture(params=ARITHMETICS)
 def backend(request):
-    previous = cellsets.set_backend(request.param)
-    yield request.param
-    cellsets.set_backend(previous)
+    with arithmetic(request.param):
+        yield request.param
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ differential suites compare them with references on random corpora, where
 gain ties are rare; here the ties are engineered, and the expected ids and
 ``CoverageSearchStats`` values were recorded from the four separate loops
 this class replaced, so a change to the shared rule shows up as a changed
-answer at a named call site.
+answer at a named call site.  Every case runs with the product's array
+arithmetic and with the frozenset oracle (``set_oracle.py``).
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ from repro.index.dits import DITSLocalIndex
 from repro.search import coverage
 from repro.search.coverage import CoverageSearch, CoverageSearchStats
 from repro.search.coverage_baselines import StandardGreedy, StandardGreedyWithDITS
-from repro.utils import cellsets
+
+from set_oracle import ARITHMETICS, arithmetic
 
 GRID = Grid(theta=8, space=BoundingBox(0, 0, 256, 256))
 DELTA = 6.0
 
 
-@pytest.fixture(params=["vector", "frozenset"])
+@pytest.fixture(params=ARITHMETICS)
 def backend(request):
-    previous = cellsets.set_backend(request.param)
-    yield request.param
-    cellsets.set_backend(previous)
+    with arithmetic(request.param):
+        yield request.param
 
 
 def node(name: str, coords: set[tuple[int, int]]) -> DatasetNode:

@@ -5,8 +5,9 @@ PR 2 rewrote ``StandardGreedy``, ``StandardGreedyWithDITS`` and
 across greedy rounds instead of rescanning from scratch.  The rewrites must
 be *bit-identical* to the original per-round rescans — same selections, same
 scores, same tie-breaks — so this module keeps reference re-implementations
-of the original algorithms and compares them on randomized corpora under
-both cell-set backends.
+of the original algorithms and compares them on randomized corpora, with
+the product's array arithmetic and with the frozenset oracle
+(``set_oracle.py``).
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ from repro.distributed.center import DataCenter
 from repro.index.dits import DITSLocalIndex
 from repro.search.coverage import find_connected_nodes
 from repro.search.coverage_baselines import StandardGreedy, StandardGreedyWithDITS
-from repro.utils import cellsets
+
+from set_oracle import ARITHMETICS, arithmetic
 
 GRID = Grid(theta=8, space=BoundingBox(0, 0, 256, 256))
 
 
-@pytest.fixture(params=["vector", "frozenset"])
+@pytest.fixture(params=ARITHMETICS)
 def backend(request):
-    previous = cellsets.set_backend(request.param)
-    yield request.param
-    cellsets.set_backend(previous)
+    with arithmetic(request.param):
+        yield request.param
 
 
 def random_nodes(count: int, seed: int, spread: int = 60) -> list[DatasetNode]:

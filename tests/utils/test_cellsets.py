@@ -81,23 +81,6 @@ class TestSizeKernels:
         assert cellsets.difference_size(a, a) == 0
 
 
-class TestBackendSwitch:
-    def test_default_is_vector(self):
-        assert cellsets.get_backend() in ("vector", "frozenset")
-
-    def test_roundtrip(self):
-        previous = cellsets.set_backend("frozenset")
-        try:
-            assert cellsets.get_backend() == "frozenset"
-            assert not cellsets.use_vector()
-        finally:
-            cellsets.set_backend(previous)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            cellsets.set_backend("gpu")
-
-
 class TestBatchZorder:
     @given(
         st.lists(
