@@ -42,7 +42,6 @@ from repro.core import (
 )
 from repro.distributed import DataCenter, DataSource, MultiSourceFramework
 from repro.index import (
-    DITSGlobalIndex,
     DITSLocalIndex,
     RebalancePolicy,
     ShardedDITSGlobalIndex,
@@ -58,7 +57,6 @@ __all__ = [
     "CoverageQuery",
     "CoverageResult",
     "CoverageSearch",
-    "DITSGlobalIndex",
     "DITSLocalIndex",
     "DataCenter",
     "DataSource",

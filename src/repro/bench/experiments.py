@@ -24,7 +24,7 @@ from repro.data.sources import SOURCE_PROFILES, build_source_datasets
 from repro.distributed.center import DistributionPolicy
 from repro.distributed.framework import MultiSourceFramework
 from repro.index import DATASET_INDEX_CLASSES
-from repro.index.dits_global import DITSGlobalIndex, SourceSummary
+from repro.index.dits_global import SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
 from repro.index.dits import DITSLocalIndex
 from repro.index.stats import index_memory_bytes
@@ -501,23 +501,31 @@ def fig23_global_index_churn(
     delta_geo: float = 1.0,
     seed: int = 7,
 ) -> list[dict]:
-    """DITS-G registration churn and pruning latency, monolithic vs sharded.
+    """DITS-G registration churn and pruning latency, one shard vs many.
 
-    For every source count and index variant the driver measures
+    The baseline row, ``sharded-1``, keeps every summary in one tree and
+    defers rebuilds to the next query: the paper's single DITS-G tree.  For
+    every source count and index variant the driver measures
 
     * ``register_ms`` — bulk-registering all sources plus the first query
       (the initial build);
     * ``churn_ms`` — ``churn_ops`` interleaved (mutate, query) steps, the
-      worst case for rebuild cost: the monolithic index reconstructs its
-      whole tree after every mutation, the sharded index only the touched
-      shard;
+      worst case for rebuild cost: the one-shard index reconstructs its
+      whole tree after every mutation, the many-shard index only the
+      touched shard;
     * ``prune_ms`` — ``query_count`` candidate queries on a quiescent index;
     * ``checksum`` — CRC over the ordered candidate lists, identical across
       variants by construction (asserted by the fig23 benchmark test).
+
+    ``shard_counts`` must not contain 1: that label is the baseline's.
     """
+    if 1 in shard_counts:
+        raise ValueError("shard_counts must not contain 1; sharded-1 is the baseline")
 
     def variants():
-        yield "monolith", lambda: DITSGlobalIndex()
+        yield "sharded-1", lambda: ShardedDITSGlobalIndex(
+            ShardPolicy(shard_count=1, defer_rebuild=True)
+        )
         for count in shard_counts:
             yield (
                 f"sharded-{count}",

@@ -288,9 +288,9 @@ def _command_federate(args: argparse.Namespace) -> int:
                 [
                     {
                         "sources": index_stats["sources"],
-                        "shards": index_stats.get("shard_count", 1),
+                        "shards": index_stats["shard_count"],
                         "shard_sizes": "/".join(
-                            str(size) for size in index_stats.get("shard_sizes", [])
+                            str(size) for size in index_stats["shard_sizes"]
                         ),
                         "tree_nodes": index_stats["tree_nodes"],
                         "rebuilds": index_stats["rebuilds"],

@@ -21,9 +21,9 @@ pool governed by :class:`~repro.distributed.executor.ExecutionPolicy`.
 Responses are aggregated in candidate order regardless of completion order,
 so parallel and serial dispatch return bit-identical results and byte totals.
 
-DITS-G itself is sharded (:class:`~repro.index.dits_global_sharded.ShardedDITSGlobalIndex`):
-source registration only rebuilds the touched shard.  Shard count 1
-reproduces the monolithic tree.
+DITS-G is :class:`~repro.index.dits_global_sharded.ShardedDITSGlobalIndex`:
+source registration only rebuilds the touched shard, and shard count 1 keeps
+every summary in one tree.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ class DataCenter:
         grid: Grid,
         channel: SimulatedChannel | None = None,
         policy: DistributionPolicy = DistributionPolicy(),
-        global_leaf_capacity: int = 4,
         execution: ExecutionPolicy | None = None,
         shard_policy: ShardPolicy | None = None,
     ) -> None:
@@ -123,9 +122,7 @@ class DataCenter:
         self._sources_lock = threading.Lock()
         self._query_counter = itertools.count()
         self._dispatcher = SourceDispatcher(execution)
-        self._global_index = ShardedDITSGlobalIndex(
-            policy=shard_policy, leaf_capacity=global_leaf_capacity
-        )
+        self._global_index = ShardedDITSGlobalIndex(policy=shard_policy)
 
     @property
     def execution(self) -> ExecutionPolicy:

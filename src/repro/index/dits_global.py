@@ -1,4 +1,4 @@
-"""DITS-G: the global index held by the data center (Section V-B).
+"""DITS-G building blocks: source summaries and the Section VI-A pruning tree.
 
 Each data source builds its own DITS-L and ships only its *root summary*
 (MBR, pivot, radius, dataset count) to the data center, converted to
@@ -19,29 +19,21 @@ The candidate set is *defined* as the set of summaries passing the
 per-summary predicate (:func:`summary_may_contain`); internal tree nodes are
 pruned with a bound (:func:`node_may_contain`) that is provably never
 stricter than any contained summary's predicate, so the answer does not
-depend on the shape of the tree.  That invariant is what allows the sharded
-variant (:mod:`repro.index.dits_global_sharded`) — which builds one tree per
-shard — to return bit-identical candidates.
-
-Rebuilds are *lazy*: mutations only mark the tree dirty and the next query
-(or explicit ``root``/``node_count`` access) rebuilds it once, so a batch of
-``register``/``unregister`` calls costs a single reconstruction.
-``rebuild_count`` exposes how many reconstructions actually happened.
+depend on the shape of the tree.  That invariant lets the one DITS-G,
+:class:`~repro.index.dits_global_sharded.ShardedDITSGlobalIndex`, split the
+summaries into any number of trees (one per shard) and still return exactly
+the flat predicate's candidates.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
-from repro.core.errors import IndexNotBuiltError, InvalidParameterError, SourceNotFoundError
 from repro.core.geometry import BoundingBox, Point
 
 __all__ = [
     "SourceSummary",
-    "DITSGlobalIndex",
     "summary_may_contain",
     "node_may_contain",
     "build_summary_tree",
@@ -140,152 +132,6 @@ def collect_candidates(
                     out.append(summary)
         else:
             stack.extend(node.children)
-
-
-class DITSGlobalIndex:
-    """The global index over registered data sources.
-
-    Parameters
-    ----------
-    leaf_capacity:
-        Maximum number of source summaries per leaf (the paper reuses the
-        local leaf capacity ``f``; the number of sources is small so the
-        default of 4 keeps the tree shallow but non-trivial).
-    """
-
-    def __init__(self, leaf_capacity: int = DEFAULT_FANOUT) -> None:
-        if leaf_capacity <= 0:
-            raise InvalidParameterError(f"leaf capacity must be positive, got {leaf_capacity}")
-        self.leaf_capacity = leaf_capacity
-        self._summaries: dict[str, SourceSummary] = {}
-        self._root: _GlobalNode | None = None
-        self._dirty = False
-        self._rebuilds = 0
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def register(self, summary: SourceSummary) -> None:
-        """Register or refresh a source's root summary.
-
-        The tree itself is only marked stale; the next query rebuilds it, so
-        a burst of registrations costs one reconstruction, not one each.
-        """
-        with self._lock:
-            self._summaries[summary.source_id] = summary
-            self._dirty = True
-
-    def register_all(self, summaries: Iterable[SourceSummary]) -> None:
-        """Register several summaries at once."""
-        with self._lock:
-            for summary in summaries:
-                self._summaries[summary.source_id] = summary
-            self._dirty = True
-
-    def unregister(self, source_id: str) -> None:
-        """Remove a source from the global index (tree rebuilt lazily)."""
-        with self._lock:
-            if source_id not in self._summaries:
-                raise SourceNotFoundError(source_id)
-            del self._summaries[source_id]
-            self._dirty = True
-
-    def source_ids(self) -> list[str]:
-        """IDs of all registered sources, sorted."""
-        with self._lock:
-            return sorted(self._summaries)
-
-    def summary_of(self, source_id: str) -> SourceSummary:
-        """The registered summary for ``source_id``."""
-        with self._lock:
-            try:
-                return self._summaries[source_id]
-            except KeyError as exc:
-                raise SourceNotFoundError(source_id) from exc
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._summaries)
-
-    def __contains__(self, source_id: str) -> bool:
-        with self._lock:
-            return source_id in self._summaries
-
-    # ------------------------------------------------------------------ #
-    # Tree construction
-    # ------------------------------------------------------------------ #
-    def _ensure_built(self) -> _GlobalNode | None:
-        """Rebuild the tree if stale; returns the (possibly None) root."""
-        with self._lock:
-            if self._dirty:
-                summaries = list(self._summaries.values())
-                self._root = (
-                    build_summary_tree(summaries, self.leaf_capacity) if summaries else None
-                )
-                self._rebuilds += 1
-                self._dirty = False
-            return self._root
-
-    @property
-    def rebuild_count(self) -> int:
-        """How many times the tree has actually been reconstructed."""
-        with self._lock:
-            return self._rebuilds
-
-    @property
-    def root(self) -> _GlobalNode:
-        """Root of the global tree; raises if no source is registered."""
-        root = self._ensure_built()
-        if root is None:
-            raise IndexNotBuiltError("no data sources registered with the global index")
-        return root
-
-    # ------------------------------------------------------------------ #
-    # Candidate-source selection (query distribution strategy 1)
-    # ------------------------------------------------------------------ #
-    def candidate_sources(
-        self,
-        query_rect: BoundingBox,
-        delta_geo: float = 0.0,
-    ) -> list[SourceSummary]:
-        """Sources whose region could contain OJSP/CJSP results for the query.
-
-        Parameters
-        ----------
-        query_rect:
-            MBR of the query in geographic coordinates.
-        delta_geo:
-            Connectivity threshold converted to geographic units.  ``0``
-            keeps only sources whose MBR intersects the query (the OJSP
-            rule); a positive value additionally keeps sources whose
-            pivot-distance lower bound to the query is within the threshold
-            (the CJSP rule).
-        """
-        candidates: list[SourceSummary] = []
-        collect_candidates(self._ensure_built(), query_rect, delta_geo, candidates)
-        candidates.sort(key=lambda summary: summary.source_id)
-        return candidates
-
-    def all_summaries(self) -> Iterator[SourceSummary]:
-        """Iterate over every registered summary (used by broadcast baselines)."""
-        with self._lock:
-            snapshot = dict(self._summaries)
-        for source_id in sorted(snapshot):
-            yield snapshot[source_id]
-
-    def node_count(self) -> int:
-        """Number of nodes in the global tree."""
-        root = self._ensure_built()
-        if root is None:
-            return 0
-        count = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children)
-        return count
 
 
 def summary_may_contain(

@@ -1,23 +1,25 @@
-"""Sharded DITS-G: the global index partitioned for high registration churn.
+"""DITS-G: the data center's global index, partitioned for registration churn.
 
-The monolithic :class:`~repro.index.dits_global.DITSGlobalIndex` rebuilds one
-tree over *every* registered source whenever the summary set changes, which
-is fine for the paper's five portals but not for a center tracking thousands
-of sources under churn.  :class:`ShardedDITSGlobalIndex` partitions the
-summaries into ``N`` shards by the z-order position of each summary's pivot
-(:class:`ShardPolicy`), keeps one DITS-G tree per shard, and **registers
-incrementally** — a mutation only marks the touched shard stale, so the next
-query rebuilds ``O(n/N)`` summaries instead of ``O(n)``
-(``defer_rebuild=False`` additionally rebuilds the touched shard right away,
-keeping queries rebuild-free).  Queries walk the shards one after another:
-the traversal is pure Python, so threads cannot overlap it, and it is a
-fraction of a percent of a federated query (PERF.md, "Parallel pruning").
+:class:`ShardedDITSGlobalIndex` is the one DITS-G (Section V-B).  It
+partitions the source summaries into ``N`` shards by the z-order position of
+each summary's pivot (:class:`ShardPolicy`), keeps one summary tree per shard
+(:func:`~repro.index.dits_global.build_summary_tree`), and **registers
+incrementally** — a mutation only marks the touched shard stale, so a rebuild
+costs ``O(n/N)`` summaries instead of ``O(n)``.  ``defer_rebuild=False``
+(default) rebuilds the touched shard right away, keeping queries
+rebuild-free; ``defer_rebuild=True`` leaves stale shards for the next query,
+so a burst of mutations costs one rebuild per touched shard.  One shard with
+deferred rebuilds is the paper's single tree, rebuilt lazily.
+Queries walk the shards one after another: the traversal is pure Python, so
+threads cannot overlap it, and it is a fraction of a percent of a federated
+query (PERF.md, "Parallel pruning").
 
 Because tree-node pruning is never stricter than the per-summary predicate
 (see :func:`~repro.index.dits_global.node_may_contain`), the union of the
-per-shard candidate sets equals the monolithic candidate set for every shard
-count, and sorting by ``source_id`` reproduces the monolithic ordering
-bit-for-bit (``tests/index/test_dits_global_sharded.py`` enforces this).
+per-shard candidate sets is exactly the set of summaries passing the flat
+:func:`~repro.index.dits_global.summary_may_contain` predicate, for every
+shard count; sorting by ``source_id`` fixes the order
+(``tests/index/test_dits_global_sharded.py`` enforces this).
 
 All public methods are thread-safe: registration takes the registry lock
 plus the touched shard's lock, while queries snapshot each shard's immutable
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import threading
 from typing import Iterable, Iterator
 
-from repro.core.errors import IndexNotBuiltError, InvalidParameterError, SourceNotFoundError
+from repro.core.errors import InvalidParameterError, SourceNotFoundError
 from repro.core.geometry import BoundingBox
 from repro.core.grid import WORLD_SPACE
 from repro.index.dits_global import (
@@ -45,12 +47,16 @@ from repro.utils.zorder import zorder_encode
 
 __all__ = ["ShardPolicy", "ShardedDITSGlobalIndex"]
 
+#: Quantisation resolution per axis of the pivot lattice (~0.35 degrees
+#: over the globe).
+_ZORDER_BITS = 10
+
 
 @dataclass(frozen=True, slots=True)
 class ShardPolicy:
     """How source summaries are partitioned across DITS-G shards.
 
-    Each summary's pivot is quantised onto a ``2**zorder_bits`` lattice over
+    Each summary's pivot is quantised onto a ``2**_ZORDER_BITS`` lattice over
     ``space`` (pivots outside are clamped onto the boundary), z-order
     encoded, and the Morton code modulo ``shard_count`` picks the shard.
     Striding along the Morton curve keeps the assignment deterministic while
@@ -58,19 +64,16 @@ class ShardPolicy:
     shards — including federations clustered in one corner of ``space`` —
     which is what bounds the per-mutation rebuild to ``O(n / shard_count)``.
     Pivots quantising to the *same* lattice cell necessarily share a shard;
-    if a federation is denser than the default ~0.35-degree world lattice,
-    narrow ``space`` to the deployment region (or raise ``zorder_bits``) to
-    restore balance.  Candidate pruning does not depend on which shard
-    holds a summary (the per-shard trees answer exactly the flat
-    predicate), so balance can be tuned freely.
+    if a federation is denser than the ~0.35-degree world lattice, narrow
+    ``space`` to the deployment region to restore balance.  Candidate
+    pruning does not depend on which shard holds a summary (the per-shard
+    trees answer exactly the flat predicate), so balance can be tuned
+    freely.
 
     Parameters
     ----------
     shard_count:
-        Number of shards (``1`` degenerates to a monolithic tree).
-    zorder_bits:
-        Quantisation resolution per axis for the pivot lattice (the default
-        resolves ~0.35 degrees over the globe).
+        Number of shards (``1`` keeps every summary in one tree).
     space:
         Reference space the lattice covers; defaults to the whole globe.
         Narrow it to the federation's region when sources cluster tighter
@@ -83,7 +86,6 @@ class ShardPolicy:
     """
 
     shard_count: int = 4
-    zorder_bits: int = 10
     space: BoundingBox = field(default=WORLD_SPACE)
     defer_rebuild: bool = False
 
@@ -92,17 +94,13 @@ class ShardPolicy:
             raise InvalidParameterError(
                 f"shard_count must be at least 1, got {self.shard_count}"
             )
-        if not 1 <= self.zorder_bits <= 16:
-            raise InvalidParameterError(
-                f"zorder_bits must be in [1, 16], got {self.zorder_bits}"
-            )
 
     def shard_of(self, summary: SourceSummary) -> int:
         """Deterministic shard for ``summary`` (by z-order of its pivot)."""
         if self.shard_count == 1:
             return 0
         pivot = summary.pivot
-        lattice = 1 << self.zorder_bits
+        lattice = 1 << _ZORDER_BITS
         fx = (pivot.x - self.space.min_x) / self.space.width
         fy = (pivot.y - self.space.min_y) / self.space.height
         ix = min(lattice - 1, max(0, int(fx * lattice)))
@@ -134,14 +132,16 @@ class _Shard:
 
 
 class ShardedDITSGlobalIndex:
-    """A drop-in DITS-G replacement that partitions summaries across shards.
+    """The DITS-G global index, with summaries partitioned across shards.
 
     Parameters
     ----------
     policy:
         The :class:`ShardPolicy` mapping summaries to shards.
     leaf_capacity:
-        Per-shard tree leaf capacity (same meaning as the monolithic index).
+        Maximum number of source summaries per leaf of each shard's tree
+        (the paper reuses DITS-L's leaf capacity ``f``; sources are few, so
+        the default of 4 keeps the tree shallow but non-trivial).
     """
 
     def __init__(
@@ -221,7 +221,7 @@ class ShardedDITSGlobalIndex:
             shard.ensure_built(self.leaf_capacity)
 
     # ------------------------------------------------------------------ #
-    # Registry lookups (same surface as the monolithic index)
+    # Registry lookups
     # ------------------------------------------------------------------ #
     def source_ids(self) -> list[str]:
         """IDs of all registered sources, sorted."""
@@ -260,12 +260,18 @@ class ShardedDITSGlobalIndex:
         query_rect: BoundingBox,
         delta_geo: float = 0.0,
     ) -> list[SourceSummary]:
-        """Union of per-shard candidates, ordered exactly like the monolith.
+        """Sources whose region could contain OJSP/CJSP results for the query.
+
+        ``query_rect`` is the query's MBR in geographic coordinates.
+        ``delta_geo`` is the connectivity threshold in geographic units:
+        ``0`` keeps only sources whose MBR intersects the query (the OJSP
+        rule); a positive value also keeps sources whose pivot-distance
+        lower bound to the query is within the threshold (the CJSP rule).
 
         Each shard's tree is traversed independently; because every source
         lives in exactly one shard and node pruning matches the flat
-        per-summary predicate, concatenating the shard results and sorting
-        by ``source_id`` is bit-identical to the monolithic index.
+        per-summary predicate, the concatenated shard results sorted by
+        ``source_id`` are the flat predicate's candidates in id order.
 
         A refresh that migrates a source between shards is not atomic with
         respect to a concurrent query, which snapshots shards at different
@@ -298,19 +304,6 @@ class ShardedDITSGlobalIndex:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def root(self) -> _GlobalNode:
-        """Root of the first non-empty shard tree; raises when empty.
-
-        The sharded index has no single tree; this accessor exists for API
-        compatibility with code that only checks "is anything registered".
-        """
-        for shard in self._shards:
-            built = shard.ensure_built(self.leaf_capacity)
-            if built is not None:
-                return built
-        raise IndexNotBuiltError("no data sources registered with the global index")
-
     def node_count(self) -> int:
         """Total number of tree nodes across all shards."""
         total = 0

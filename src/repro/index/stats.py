@@ -14,7 +14,6 @@ from repro.core.distance_engine import DistanceEngine, get_engine
 from repro.core.geometry import BoundingBox
 from repro.index.base import DatasetIndex
 from repro.index.dits import DITSLocalIndex
-from repro.index.dits_global import DITSGlobalIndex
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex
 from repro.index.inverted import STS3Index
 from repro.index.josie import JosieIndex
@@ -132,25 +131,21 @@ def local_index_stats(index: DITSLocalIndex) -> dict[str, object]:
     return dict(sorted(stats.items()))
 
 
-def global_index_stats(index: DITSGlobalIndex | ShardedDITSGlobalIndex) -> dict[str, object]:
-    """Shape and footprint of a DITS-G variant, for dashboards and the CLI.
+def global_index_stats(index: ShardedDITSGlobalIndex) -> dict[str, object]:
+    """Shape and footprint of the DITS-G index, for dashboards and the CLI.
 
-    Works for both the monolithic and the sharded global index; the sharded
-    variant additionally reports its shard count and per-shard source
-    distribution.
+    Includes the shard count and the per-shard source distribution.
     """
     node_count = index.node_count()
     stats: dict[str, object] = {
         "schema": STATS_SCHEMA,
-        "variant": "sharded" if isinstance(index, ShardedDITSGlobalIndex) else "monolithic",
         "sources": len(index),
         "tree_nodes": node_count,
         "rebuilds": index.rebuild_count,
         "memory_bytes": node_count * _TREE_NODE_BYTES + len(index) * _SUMMARY_BYTES,
+        "shard_count": index.shard_count,
+        "shard_sizes": index.shard_sizes(),
     }
-    if isinstance(index, ShardedDITSGlobalIndex):
-        stats["shard_count"] = index.shard_count
-        stats["shard_sizes"] = index.shard_sizes()
     return dict(sorted(stats.items()))
 
 

@@ -20,6 +20,7 @@ from repro.bench.experiments import (
     fig15_coverage_vs_k,
     fig18_coverage_vs_delta,
     fig21_22_index_updates,
+    fig23_global_index_churn,
 )
 from repro.bench.harness import ExperimentConfig
 
@@ -76,6 +77,20 @@ class TestUpdateDriver:
         for row in rows:
             assert row["insert_ms"] >= 0
             assert row["update_ms"] >= 0
+
+
+class TestGlobalChurnDriver:
+    def test_fig23_baseline_and_parity(self):
+        rows = fig23_global_index_churn(
+            source_counts=(40,), shard_counts=(4,), churn_ops=5, query_count=3
+        )
+        assert [row["variant"] for row in rows] == ["sharded-1", "sharded-4"]
+        assert len({row["checksum"] for row in rows}) == 1
+
+    def test_fig23_rejects_one_shard_variant(self):
+        # An eager one-shard row would overwrite the deferred baseline's key.
+        with pytest.raises(ValueError, match="sharded-1"):
+            fig23_global_index_churn(source_counts=(40,), shard_counts=(1, 4))
 
 
 class TestConfigHandling:

@@ -20,8 +20,10 @@ from repro.core.geometry import BoundingBox
 from repro.data.sources import SOURCE_PROFILES, build_source_datasets
 from repro.distributed.executor import ExecutionPolicy
 from repro.distributed.framework import MultiSourceFramework
-from repro.index.dits_global import DITSGlobalIndex, SourceSummary
+from repro.index.dits_global import SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+
+from summary_oracle import flat_reference
 
 REGION = BoundingBox(-100.0, 20.0, -60.0, 50.0)
 
@@ -93,13 +95,12 @@ def test_raw_index_queries_race_churn(defer_rebuild):
         worker.join(timeout=30)
     assert not errors, errors[0]
 
-    # Final state must match a reference index built from scratch.
-    reference = DITSGlobalIndex(leaf_capacity=4)
-    reference.register_all(index.summary_of(source_id) for source_id in live)
+    # Final state must answer exactly the flat predicate over the live summaries.
     assert index.source_ids() == sorted(live)
     assert sum(index.shard_sizes()) == len(live)
     probe = BoundingBox(REGION.min_x, REGION.min_y, REGION.max_x, REGION.max_y)
-    assert index.candidate_sources(probe, 2.0) == reference.candidate_sources(probe, 2.0)
+    live_summaries = [index.summary_of(source_id) for source_id in live]
+    assert index.candidate_sources(probe, 2.0) == flat_reference(live_summaries, probe, 2.0)
 
 
 def _federation_sources(count: int, seed: int):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import IndexNotBuiltError, InvalidParameterError, SourceNotFoundError
+from repro.core.errors import InvalidParameterError, SourceNotFoundError
 from repro.core.geometry import BoundingBox
-from repro.index.dits_global import DITSGlobalIndex, SourceSummary
+from repro.index.dits_global import SourceSummary, build_summary_tree
+from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
 
 
 def summary(source_id: str, min_x, min_y, max_x, max_y, count=10) -> SourceSummary:
@@ -18,64 +19,79 @@ def summary(source_id: str, min_x, min_y, max_x, max_y, count=10) -> SourceSumma
 class TestRegistration:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(InvalidParameterError):
-            DITSGlobalIndex(leaf_capacity=0)
+            ShardedDITSGlobalIndex(leaf_capacity=0)
 
     def test_register_and_lookup(self):
-        index = DITSGlobalIndex()
+        index = ShardedDITSGlobalIndex()
         index.register(summary("s1", 0, 0, 10, 10))
         assert "s1" in index
         assert len(index) == 1
         assert index.summary_of("s1").dataset_count == 10
 
     def test_register_all(self):
-        index = DITSGlobalIndex()
+        index = ShardedDITSGlobalIndex()
         index.register_all([summary("a", 0, 0, 1, 1), summary("b", 5, 5, 6, 6)])
         assert index.source_ids() == ["a", "b"]
 
     def test_register_refreshes_existing(self):
-        index = DITSGlobalIndex()
+        index = ShardedDITSGlobalIndex()
         index.register(summary("s1", 0, 0, 10, 10, count=5))
         index.register(summary("s1", 0, 0, 20, 20, count=8))
         assert len(index) == 1
         assert index.summary_of("s1").dataset_count == 8
 
     def test_unregister(self):
-        index = DITSGlobalIndex()
+        index = ShardedDITSGlobalIndex()
         index.register(summary("s1", 0, 0, 10, 10))
         index.unregister("s1")
         assert "s1" not in index
         with pytest.raises(SourceNotFoundError):
             index.unregister("s1")
 
+    def test_len_tracks_registration(self):
+        index = ShardedDITSGlobalIndex(ShardPolicy(shard_count=3))
+        assert not index
+        index.register_all([summary("a", 0, 0, 1, 1), summary("b", 40, 40, 41, 41)])
+        index.register(summary("a", 0, 0, 2, 2))
+        assert len(index) == 2
+        index.unregister("a")
+        assert len(index) == 1
+        index.unregister("b")
+        assert len(index) == 0
+        assert not index
+
     def test_unknown_summary_lookup(self):
-        index = DITSGlobalIndex()
+        index = ShardedDITSGlobalIndex()
         with pytest.raises(SourceNotFoundError):
             index.summary_of("missing")
-
-    def test_root_requires_registration(self):
-        index = DITSGlobalIndex()
-        with pytest.raises(IndexNotBuiltError):
-            _ = index.root
 
 
 class TestTreeStructure:
     def test_tree_splits_when_over_capacity(self):
-        index = DITSGlobalIndex(leaf_capacity=2)
-        for i in range(6):
-            index.register(summary(f"s{i}", i * 10, 0, i * 10 + 5, 5))
-        assert index.node_count() > 1
-        assert not index.root.is_leaf()
+        summaries = [summary(f"s{i}", i * 10, 0, i * 10 + 5, 5) for i in range(6)]
+        root = build_summary_tree(summaries, leaf_capacity=2)
+        assert not root.is_leaf()
+        leaves, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf():
+                leaves.append(node)
+            stack.extend(node.children)
+        assert all(len(leaf.summaries) <= 2 for leaf in leaves)
+        assert sorted(s.source_id for leaf in leaves for s in leaf.summaries) == [
+            s.source_id for s in summaries
+        ]
 
     def test_single_source_is_leaf_root(self):
-        index = DITSGlobalIndex(leaf_capacity=2)
-        index.register(summary("only", 0, 0, 1, 1))
-        assert index.root.is_leaf()
-        assert index.node_count() == 1
+        only = summary("only", 0, 0, 1, 1)
+        root = build_summary_tree([only], leaf_capacity=2)
+        assert root.is_leaf()
+        assert root.summaries == [only]
 
 
 class TestCandidateSelection:
-    def build(self) -> DITSGlobalIndex:
-        index = DITSGlobalIndex(leaf_capacity=2)
+    def build(self) -> ShardedDITSGlobalIndex:
+        index = ShardedDITSGlobalIndex(leaf_capacity=2)
         index.register_all(
             [
                 summary("west", 0, 0, 10, 10),
@@ -101,7 +117,7 @@ class TestCandidateSelection:
         assert "east" in [c.source_id for c in candidates]
 
     def test_empty_index_returns_no_candidates(self):
-        index = DITSGlobalIndex()
+        index = ShardedDITSGlobalIndex()
         assert index.candidate_sources(BoundingBox(0, 0, 1, 1)) == []
 
     def test_all_summaries_iterates_everything(self):
@@ -118,8 +134,10 @@ class TestCandidateSelection:
 class TestLazyRebuilds:
     """Mutations must not reconstruct the tree; the next query does, once."""
 
-    def build_queryable(self) -> DITSGlobalIndex:
-        index = DITSGlobalIndex(leaf_capacity=2)
+    def build_queryable(self) -> ShardedDITSGlobalIndex:
+        index = ShardedDITSGlobalIndex(
+            ShardPolicy(shard_count=1, defer_rebuild=True), leaf_capacity=2
+        )
         index.register_all([summary(f"s{i}", i * 10, 0, i * 10 + 5, 5) for i in range(8)])
         return index
 

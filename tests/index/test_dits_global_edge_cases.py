@@ -1,24 +1,28 @@
-"""Edge-case behaviour shared by both DITS-G variants.
+"""Edge-case behaviour of DITS-G across shard configurations.
 
-Every test runs against the monolithic index and several sharded
-configurations (single shard, many shards, deferred rebuilds), so the two
-implementations cannot drift apart on the awkward inputs: empty indexes,
-every summary landing in one shard, re-registering an existing source and
-unregistering the last one.
+Every test runs against several configurations (single shard, many shards,
+deferred rebuilds), so they cannot drift apart on the awkward inputs: empty
+indexes, every summary landing in one shard, re-registering an existing
+source and unregistering the last one.  ``sharded-1-deferred`` is the
+paper's single lazily rebuilt tree, the baseline of Fig. 23.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import IndexNotBuiltError, SourceNotFoundError
+from repro.core.errors import SourceNotFoundError
 from repro.core.geometry import BoundingBox
-from repro.index.dits_global import DITSGlobalIndex, SourceSummary
+from repro.index.dits_global import SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
 
+from summary_oracle import flat_reference
+
 VARIANTS = {
-    "monolithic": lambda: DITSGlobalIndex(leaf_capacity=2),
     "sharded-1": lambda: ShardedDITSGlobalIndex(ShardPolicy(shard_count=1), leaf_capacity=2),
+    "sharded-1-deferred": lambda: ShardedDITSGlobalIndex(
+        ShardPolicy(shard_count=1, defer_rebuild=True), leaf_capacity=2
+    ),
     "sharded-5": lambda: ShardedDITSGlobalIndex(ShardPolicy(shard_count=5), leaf_capacity=2),
     "sharded-16-deferred": lambda: ShardedDITSGlobalIndex(
         ShardPolicy(shard_count=16, defer_rebuild=True), leaf_capacity=2
@@ -52,10 +56,6 @@ class TestEmptyIndex:
         assert index.node_count() == 0
         assert "anything" not in index
 
-    def test_root_raises(self, index):
-        with pytest.raises(IndexNotBuiltError):
-            _ = index.root
-
     def test_unregister_unknown_raises(self, index):
         with pytest.raises(SourceNotFoundError):
             index.unregister("ghost")
@@ -73,8 +73,6 @@ class TestLastSource:
         assert len(index) == 0
         assert index.candidate_sources(BoundingBox(1, 1, 3, 3)) == []
         assert index.node_count() == 0
-        with pytest.raises(IndexNotBuiltError):
-            _ = index.root
         # The index remains usable after being emptied.
         index.register(summary("again", 5, 5, 6, 6))
         assert [s.source_id for s in index.candidate_sources(EVERYWHERE)] == ["again"]
@@ -107,18 +105,16 @@ class TestDegenerateDistributions:
             index.register(summary(f"stack{i}", 7, 7, 9, 9))
         hits = index.candidate_sources(BoundingBox(8, 8, 8.5, 8.5))
         assert [s.source_id for s in hits] == [f"stack{i}" for i in range(10)]
-        if isinstance(index, ShardedDITSGlobalIndex):
-            sizes = index.shard_sizes()
-            assert sorted(sizes, reverse=True)[0] == 10
-            assert sum(1 for size in sizes if size) == 1
+        sizes = index.shard_sizes()
+        assert sorted(sizes, reverse=True)[0] == 10
+        assert sum(1 for size in sizes if size) == 1
 
     def test_more_shards_than_sources(self, index):
         index.register(summary("a", 0, 0, 1, 1))
         index.register(summary("b", 50, 50, 51, 51))
         hits = index.candidate_sources(EVERYWHERE)
         assert [s.source_id for s in hits] == ["a", "b"]
-        if isinstance(index, ShardedDITSGlobalIndex):
-            assert sum(index.shard_sizes()) == 2
+        assert sum(index.shard_sizes()) == 2
 
     def test_delta_reaches_across_empty_space(self, index):
         index.register(summary("west", 0, 0, 1, 1))
@@ -129,3 +125,21 @@ class TestDegenerateDistributions:
         assert [s.source_id for s in reached] == ["west"]
         both = index.candidate_sources(near_west, delta_geo=40.0)
         assert [s.source_id for s in both] == ["east", "west"]
+
+    def test_matches_flat_reference(self, index):
+        # Stacked, touching, degenerate and far-apart summaries, plus a row
+        # whose elongated tree nodes sit farther from a probe past its end
+        # than the row's last summary does: the tree answers exactly the
+        # flat predicate at every threshold.
+        summaries = [summary(f"stack{i}", 7, 7, 9, 9) for i in range(4)]
+        summaries += [summary("edge", 9, 9, 12, 12), summary("far", 80, -40, 81, -39)]
+        summaries += [summary("point", 3, 3, 3, 3)]
+        summaries += [summary(f"row{i}", 4 * i, 20, 4 * i + 2, 22) for i in range(6)]
+        index.register_all(summaries)
+        probes = [BoundingBox(8, 8, 8.5, 8.5), BoundingBox(12, 12, 13, 13), EVERYWHERE]
+        probes += [BoundingBox(3, 3, 3, 3), BoundingBox(40, 0, 41, 1)]
+        probes += [BoundingBox(25, 21, 25, 21)]
+        for rect in probes:
+            for delta in (0.0, 1.0, 2.7, 50.0):
+                expected = flat_reference(summaries, rect, delta)
+                assert index.candidate_sources(rect, delta_geo=delta) == expected, (rect, delta)

@@ -1,13 +1,12 @@
-"""Differential parity suite: sharded DITS-G must equal the monolith bit-for-bit.
+"""Differential parity suite: DITS-G must equal the flat predicate bit-for-bit.
 
-The sharded global index is a pure scalability refactor — for every shard
-count, every churn sequence and every query, ``candidate_sources`` must
-return *exactly* the ordered list the monolithic index returns.  These tests
-drive both variants through seeded random summary sets and
-register/unregister churn sequences (the pattern that kept PR 1's cell-set
-backends and PR 2's dispatch modes bit-identical) and additionally pin both
-variants against a brute-force flat filter, so a bug in the shared tree
-traversal cannot hide by breaking both sides the same way.
+Sharding is a pure scalability device — for every shard count, every churn
+sequence and every query, ``candidate_sources`` must return *exactly* the
+ordered list the flat Section VI-A predicate selects from the live summaries
+(``summary_oracle.flat_reference``).  These tests drive the index through
+seeded random summary sets, register/unregister churn sequences and
+hypothesis-drawn geometry, and compare every answer with that brute-force
+filter.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import BoundingBox
-from repro.index.dits_global import (
-    DITSGlobalIndex,
-    SourceSummary,
-    summary_may_contain,
-)
+from repro.index.dits_global import SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+
+from summary_oracle import flat_reference
 
 SHARD_COUNTS = (1, 2, 7, 16)
 
@@ -66,25 +63,13 @@ def ordered_ids(candidates) -> list[str]:
     return [summary.source_id for summary in candidates]
 
 
-def flat_reference(index: DITSGlobalIndex, rect: BoundingBox, delta: float) -> list[str]:
-    """Brute-force candidate list straight from the pruning predicate."""
-    pivot, radius = rect.center, rect.radius
-    return [
-        s.source_id
-        for s in index.all_summaries()
-        if summary_may_contain(s.rect, rect, pivot, radius, delta)
-    ]
-
-
-def assert_parity(mono: DITSGlobalIndex, sharded: ShardedDITSGlobalIndex, queries, check_flat=True):
+def assert_parity(summaries, sharded: ShardedDITSGlobalIndex, queries):
     for rect in queries:
         for delta in DELTAS:
-            expected = mono.candidate_sources(rect, delta)
+            expected = flat_reference(summaries, rect, delta)
             actual = sharded.candidate_sources(rect, delta)
             assert ordered_ids(actual) == ordered_ids(expected)
             assert actual == expected  # full summaries, not just IDs
-            if check_flat:
-                assert ordered_ids(expected) == flat_reference(mono, rect, delta)
 
 
 # ---------------------------------------------------------------------- #
@@ -96,28 +81,24 @@ class TestBulkParity:
     def test_bulk_registration_parity(self, shard_count, seed):
         rng = np.random.default_rng(seed)
         summaries = [random_summary(rng, i) for i in range(80)]
-        mono = DITSGlobalIndex(leaf_capacity=4)
         sharded = ShardedDITSGlobalIndex(
             ShardPolicy(shard_count=shard_count), leaf_capacity=4
         )
-        mono.register_all(summaries)
         sharded.register_all(summaries)
-        assert len(sharded) == len(mono) == 80
-        assert sharded.source_ids() == mono.source_ids()
-        assert_parity(mono, sharded, random_query_rects(rng, 12))
+        assert len(sharded) == 80
+        assert sharded.source_ids() == sorted(s.source_id for s in summaries)
+        assert_parity(summaries, sharded, random_query_rects(rng, 12))
 
     def test_deferred_mode_parity(self, shard_count, seed):
         rng = np.random.default_rng(seed + 1000)
         summaries = [random_summary(rng, i) for i in range(40)]
-        mono = DITSGlobalIndex(leaf_capacity=4)
         sharded = ShardedDITSGlobalIndex(
             ShardPolicy(shard_count=shard_count, defer_rebuild=True), leaf_capacity=4
         )
-        mono.register_all(summaries)
         sharded.register_all(summaries)
         # Deferred mode has not built anything yet.
         assert sharded.rebuild_count == 0
-        assert_parity(mono, sharded, random_query_rects(rng, 8))
+        assert_parity(summaries, sharded, random_query_rects(rng, 8))
         assert sharded.rebuild_count > 0
 
 
@@ -129,11 +110,10 @@ class TestBulkParity:
 class TestChurnParity:
     def test_churn_sequence_parity(self, shard_count, seed):
         rng = np.random.default_rng(seed)
-        mono = DITSGlobalIndex(leaf_capacity=4)
         sharded = ShardedDITSGlobalIndex(
             ShardPolicy(shard_count=shard_count), leaf_capacity=4
         )
-        live: list[str] = []
+        live: dict[str, SourceSummary] = {}
         next_id = 0
         queries = random_query_rects(rng, 4)
         for step in range(120):
@@ -141,29 +121,28 @@ class TestChurnParity:
             if op < 0.55 or not live:
                 summary = random_summary(rng, next_id)
                 next_id += 1
-                live.append(summary.source_id)
-                mono.register(summary)
+                live[summary.source_id] = summary
                 sharded.register(summary)
             elif op < 0.8:
                 # Refresh an existing source with a brand-new rect: the new
                 # pivot may migrate it to a different shard.
-                victim = live[int(rng.integers(len(live)))]
+                victim = list(live)[int(rng.integers(len(live)))]
                 refreshed = SourceSummary(
                     source_id=victim,
                     rect=random_summary(rng, 0).rect,
                     dataset_count=int(rng.integers(1, 500)),
                 )
-                mono.register(refreshed)
+                live[victim] = refreshed
                 sharded.register(refreshed)
             else:
-                victim = live.pop(int(rng.integers(len(live))))
-                mono.unregister(victim)
+                victim = list(live)[int(rng.integers(len(live)))]
+                del live[victim]
                 sharded.unregister(victim)
             if step % 15 == 0:
-                assert_parity(mono, sharded, queries, check_flat=False)
-        assert sharded.source_ids() == mono.source_ids()
-        assert sum(sharded.shard_sizes()) == len(mono)
-        assert_parity(mono, sharded, random_query_rects(rng, 10))
+                assert_parity(live.values(), sharded, queries)
+        assert sharded.source_ids() == sorted(live)
+        assert sum(sharded.shard_sizes()) == len(live)
+        assert_parity(live.values(), sharded, random_query_rects(rng, 10))
 
 
 # ---------------------------------------------------------------------- #
@@ -196,14 +175,10 @@ def summary_sets(draw):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_parity(summaries, qx, qy, qw, delta, shard_count):
-    mono = DITSGlobalIndex(leaf_capacity=3)
     sharded = ShardedDITSGlobalIndex(ShardPolicy(shard_count=shard_count), leaf_capacity=3)
-    mono.register_all(summaries)
     sharded.register_all(summaries)
     rect = BoundingBox(qx, qy, qx + qw, qy + qw)
-    expected = mono.candidate_sources(rect, delta)
-    assert sharded.candidate_sources(rect, delta) == expected
-    assert ordered_ids(expected) == flat_reference(mono, rect, delta)
+    assert sharded.candidate_sources(rect, delta) == flat_reference(summaries, rect, delta)
 
 
 # ---------------------------------------------------------------------- #
@@ -213,10 +188,6 @@ class TestShardPolicy:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
             ShardPolicy(shard_count=0)
-        with pytest.raises(InvalidParameterError):
-            ShardPolicy(zorder_bits=0)
-        with pytest.raises(InvalidParameterError):
-            ShardPolicy(zorder_bits=17)
 
     def test_single_shard_maps_everything_to_zero(self):
         policy = ShardPolicy(shard_count=1)
