@@ -20,6 +20,10 @@ inherently parallel), so per-source request execution fans out over a thread
 pool governed by :class:`~repro.distributed.executor.ExecutionPolicy`.
 Responses are aggregated in candidate order regardless of completion order,
 so parallel and serial dispatch return bit-identical results and byte totals.
+OJSP answers are merged canonically — score desc, then dataset id asc, the
+order each DITS-L source already ranks by — so with unique dataset ids the
+positive-score federated answer equals one DITS-L over the union corpus,
+whatever the registration order or DITS-G sharding.
 
 DITS-G is :class:`~repro.index.dits_global_sharded.ShardedDITSGlobalIndex`:
 source registration only rebuilds the touched shard, and shard count 1 keeps
@@ -48,7 +52,7 @@ from repro.distributed.source import DataSource, grid_rect_to_geo
 from repro.index.dits_global import SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
 from repro.search.coverage import GreedyCover
-from repro.utils.heaps import BoundedTopK
+from repro.utils.heaps import CanonicalTopK
 
 __all__ = ["DataCenter", "DistributionPolicy"]
 
@@ -190,7 +194,16 @@ class DataCenter:
     # Overlap joinable search (OJSP)
     # ------------------------------------------------------------------ #
     def overlap_search(self, query: DatasetNode, k: int) -> OverlapResult:
-        """Run multi-source OJSP for ``query`` (cells in the center's grid)."""
+        """Run multi-source OJSP for ``query`` (cells in the center's grid).
+
+        Every candidate source returns its own canonical top-``k`` (score
+        desc, dataset id asc), so the union's top-``k`` under that order lies
+        inside the union of those lists: merging them in one
+        :class:`~repro.utils.heaps.CanonicalTopK` keyed by
+        ``(dataset_id, source_id)`` is exact and independent of source
+        order.  ``source_id`` only settles equal dataset ids held by
+        different sources.
+        """
         answers = self._fan_out(
             query,
             0.0,
@@ -200,14 +213,14 @@ class DataCenter:
             lambda source, request: source.handle_overlap(request, self.grid),
         )
 
-        heap: BoundedTopK[tuple[str, str]] = BoundedTopK(k)
+        heap: CanonicalTopK[tuple[str, str]] = CanonicalTopK(k)
         for source_id, response in answers:
             for dataset_id, score in response.results:
-                heap.push(score, (source_id, dataset_id))
+                heap.push(score, (dataset_id, source_id))
 
         entries = tuple(
             ScoredDataset(dataset_id=dataset_id, score=score, source_id=source_id)
-            for score, (source_id, dataset_id) in heap.items()
+            for score, (dataset_id, source_id) in heap.items()
         )
         return OverlapResult(entries=entries)
 

@@ -248,7 +248,6 @@ class DITSLocalIndex(DatasetIndex):
         self._refit_pending = False
         self._root: TreeNode | None = None
         self._leaf_of: dict[str, LeafNode] = {}
-        self._leaf_ordinals: dict[int, int] | None = None
 
     @property
     def rebalance_stats(self) -> RebalanceStats:
@@ -277,7 +276,6 @@ class DITSLocalIndex(DatasetIndex):
 
     def _rebuild(self) -> None:
         self._leaf_of = {}
-        self._leaf_ordinals = None
         self._refit_pending = False
         entries = list(self._nodes.values())
         self._root = self._build_subtree(entries, parent=None) if entries else None
@@ -306,7 +304,6 @@ class DITSLocalIndex(DatasetIndex):
     # Maintenance (Appendix IX-C + scapegoat-style rebalancing)
     # ------------------------------------------------------------------ #
     def _insert_structure(self, node: DatasetNode) -> None:
-        self._leaf_ordinals = None
         if self._root is None:
             leaf = LeafNode(node.rect, [node], self.leaf_capacity, parent=None)
             self._root = leaf
@@ -326,7 +323,6 @@ class DITSLocalIndex(DatasetIndex):
         self._rebalancer.after_mutation(changed)
 
     def _delete_structure(self, node: DatasetNode) -> None:
-        self._leaf_ordinals = None
         leaf = self._leaf_of.pop(node.dataset_id, None)
         if leaf is None:
             raise DatasetNotFoundError(node.dataset_id)
@@ -342,7 +338,6 @@ class DITSLocalIndex(DatasetIndex):
         self._rebalancer.after_mutation(changed)
 
     def _update_structure(self, old: DatasetNode, new: DatasetNode) -> None:
-        self._leaf_ordinals = None
         leaf = self._leaf_of.get(old.dataset_id)
         if leaf is None:
             raise DatasetNotFoundError(old.dataset_id)
@@ -537,27 +532,6 @@ class DITSLocalIndex(DatasetIndex):
                 assert isinstance(node, InternalNode)
                 stack.append(node.right)
                 stack.append(node.left)
-
-    def leaf_ordinals(self) -> dict[int, int]:
-        """Stable left-to-right ordinal of every leaf, keyed by ``id(leaf)``.
-
-        Ordinals follow the left-to-right leaf order of :meth:`leaves` and
-        are recomputed lazily after any structural change, so they are
-        deterministic across runs of the same build sequence (unlike raw
-        ``id()`` values).
-        """
-        ordinals = self._leaf_ordinals
-        if ordinals is None:
-            ordinals = {id(leaf): ordinal for ordinal, leaf in enumerate(self.leaves())}
-            self._leaf_ordinals = ordinals
-        return ordinals
-
-    def leaf_ordinal(self, leaf: LeafNode) -> int:
-        """Left-to-right ordinal of ``leaf`` in the current tree."""
-        try:
-            return self.leaf_ordinals()[id(leaf)]
-        except KeyError as exc:
-            raise ValueError("leaf does not belong to this index") from exc
 
     def leaf_for(self, dataset_id: str) -> LeafNode:
         """The leaf currently storing ``dataset_id``."""

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 from repro.core.dataset import DatasetNode
 from repro.index.base import DatasetIndex
 from repro.utils import cellsets
-from repro.utils.heaps import BoundedTopK
+from repro.utils.heaps import CanonicalTopK
 
 __all__ = ["JosieIndex", "Posting"]
 
@@ -143,7 +143,7 @@ class JosieIndex(DatasetIndex):
             return []
 
         verified: dict[str, int] = {}
-        heap: BoundedTopK[str] = BoundedTopK(k)
+        heap: CanonicalTopK[str] = CanonicalTopK(k)
 
         for scanned, cell in enumerate(query):
             remaining_query = query_size - scanned

@@ -32,7 +32,7 @@ scan order, which leaked the tree shape into the answer).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.dataset import DatasetNode
 from repro.core.problems import OverlapQuery, OverlapResult
@@ -53,9 +53,6 @@ class OverlapSearchStats:
     pruned_by_bounds: int = 0
     candidate_leaves: int = 0
     verified_datasets: int = 0
-    #: Stable left-to-right ordinals (see ``DITSLocalIndex.leaf_ordinals``)
-    #: of the candidate leaves that survived filtering, sorted ascending.
-    candidate_leaf_ids: list[int] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -142,11 +139,6 @@ class OverlapSearch:
                 continue
             surviving.append(candidate)
         stats.candidate_leaves = len(surviving)
-        if surviving:
-            ordinals = self._index.leaf_ordinals()
-            stats.candidate_leaf_ids = sorted(
-                ordinals[id(candidate.leaf)] for candidate in surviving
-            )
         # Max-heap keyed by upper bound; the sequence number keeps ties in
         # discovery order, matching the stable sort the heap replaces, while
         # leaves pruned by the verification cutoff are never sorted at all.

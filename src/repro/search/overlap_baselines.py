@@ -29,7 +29,7 @@ from repro.index.josie import JosieIndex
 from repro.index.quadtree import QuadTreeIndex
 from repro.index.rtree import RTreeIndex
 from repro.utils import cellsets
-from repro.utils.heaps import BoundedTopK
+from repro.utils.heaps import CanonicalTopK
 
 __all__ = [
     "QuadTreeOverlap",
@@ -85,7 +85,7 @@ class RTreeOverlap:
 
     def search_node(self, query: DatasetNode, k: int) -> OverlapResult:
         """Top-k overlap for ``query``."""
-        heap: BoundedTopK[str] = BoundedTopK(k)
+        heap: CanonicalTopK[str] = CanonicalTopK(k)
         query_array = query.cells_array
         for node in self._index.intersecting(query.rect):
             overlap = cellsets.intersection_size(node.cells_array, query_array)

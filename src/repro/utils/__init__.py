@@ -5,12 +5,10 @@ The utilities are intentionally dependency-free (standard library plus
 encoding, index nodes) without creating import cycles.
 """
 
-from repro.utils.heaps import BoundedTopK
 from repro.utils.sizeof import deep_size_of, encoded_size
 from repro.utils.zorder import zorder_decode, zorder_encode
 
 __all__ = [
-    "BoundedTopK",
     "deep_size_of",
     "encoded_size",
     "zorder_decode",

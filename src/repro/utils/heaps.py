@@ -1,93 +1,27 @@
-"""Bounded top-k heaps used by the overlap search result queues.
+"""The bounded top-k heap behind every overlap result queue.
 
 Algorithm 2 of the paper maintains a result priority queue ``R`` holding the
 ``k`` best candidates seen so far, keyed by intersection size.  The queue must
 support: insert, peek at the current worst (the k-th best), and replacement of
-the worst element.  Two variants are provided:
+the worst element.
 
-* :class:`BoundedTopK` breaks score ties by *insertion order* — reproducible
-  for a fixed scan order, which is what the data center's aggregation (a
-  fixed candidate-source order) wants.
-* :class:`CanonicalTopK` breaks score ties by the *item itself* (smallest
-  first) both for retention and for the final ordering, so the retained set
-  is a pure function of the offered ``(score, item)`` pairs — independent of
-  the order they arrive in.  OverlapSearch uses it so results do not depend
-  on the DITS-L tree shape (fresh build vs. incrementally rebalanced).
+:class:`CanonicalTopK` breaks score ties by the *item itself* (smallest
+first) both for retention and for the final ordering, so the retained set is
+a pure function of the offered ``(score, item)`` pairs — independent of the
+order they arrive in.  OverlapSearch uses it so results do not depend on the
+DITS-L tree shape (fresh build vs. incrementally rebalanced), the data center
+uses it so the merged answer does not depend on source order, and the R-tree
+and Josie baselines use it so every OJSP method ranks ties the same way.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Generic, Iterable, Iterator, TypeVar
+from typing import Generic, Iterator, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["BoundedTopK", "CanonicalTopK"]
-
-
-class BoundedTopK(Generic[T]):
-    """A min-heap that keeps only the ``k`` largest ``(score, item)`` pairs.
-
-    Items with equal scores are broken by their insertion order so results
-    are reproducible regardless of hash randomisation.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self._k = k
-        self._heap: list[tuple[float, int, T]] = []
-        self._counter = 0
-
-    @property
-    def k(self) -> int:
-        """Maximum number of retained items."""
-        return self._k
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def is_full(self) -> bool:
-        """Return ``True`` once ``k`` items are retained."""
-        return len(self._heap) >= self._k
-
-    def kth_score(self) -> float:
-        """Score of the current k-th best item, ``-inf`` while not full.
-
-        This is the threshold a new candidate must beat to enter the heap,
-        mirroring ``R.peek()`` in Algorithm 2.
-        """
-        if not self.is_full():
-            return float("-inf")
-        return self._heap[0][0]
-
-    def push(self, score: float, item: T) -> bool:
-        """Offer ``item`` with ``score``; return ``True`` if it was retained."""
-        entry = (score, self._counter, item)
-        self._counter += 1
-        if len(self._heap) < self._k:
-            heapq.heappush(self._heap, entry)
-            return True
-        if score > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
-            return True
-        return False
-
-    def extend(self, scored_items: Iterable[tuple[float, T]]) -> None:
-        """Offer every ``(score, item)`` pair in ``scored_items``."""
-        for score, item in scored_items:
-            self.push(score, item)
-
-    def items(self) -> list[tuple[float, T]]:
-        """Return retained ``(score, item)`` pairs, best score first."""
-        ordered = sorted(self._heap, key=lambda entry: (-entry[0], entry[1]))
-        return [(score, item) for score, _, item in ordered]
-
-    def __iter__(self) -> Iterator[tuple[float, T]]:
-        return iter(self.items())
+__all__ = ["CanonicalTopK"]
 
 
 class _ReverseOrder(Generic[T]):

@@ -1,7 +1,8 @@
 """End-to-end tests for the multi-source framework.
 
 The key integration invariant: multi-source OJSP must return exactly the same
-top-k scores as a single-machine brute force over the union of all sources,
+top-k ``(dataset_id, score)`` pairs as a single-machine brute force over the
+union of all sources,
 and multi-source CJSP must return a connected selection whose coverage is
 consistent with the selected datasets.
 """
@@ -70,9 +71,9 @@ class TestMultiSourceOverlap:
             query = framework.query_from_dataset(dataset)
             fast = framework.overlap_search(query, k=5)
             exact = brute_force_overlap(query, all_nodes, k=5)
-            fast_scores = [s for s in fast.scores if s > 0]
-            exact_scores = [s for s in exact.scores if s > 0]
-            assert fast_scores == exact_scores
+            fast_positive = [(e.dataset_id, e.score) for e in fast if e.score > 0]
+            exact_positive = [(e.dataset_id, e.score) for e in exact if e.score > 0]
+            assert fast_positive == exact_positive
 
     def test_results_identify_owning_source(self, framework):
         query = framework.query_from_dataset(make_datasets(REGION_A, 1, seed=11, prefix="q")[0])

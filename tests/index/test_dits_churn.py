@@ -6,8 +6,8 @@ insert/update/delete sequences against every rebalance policy, with the
 product's array arithmetic and with the frozenset oracle (``set_oracle.py``),
 then asserts
 
-(a) the leaf registry (``leaf_for``) and ``leaf_ordinals`` stay consistent
-    with the ``leaves()`` traversal,
+(a) the leaf registry (``leaf_for``) stays consistent with the ``leaves()``
+    traversal,
 (b) every node's MBR equals the exact union of its descendants' rects (after
     the deferred-refit flush a query triggers), subtree sizes match, empty
     leaves are collapsed, and
@@ -68,13 +68,9 @@ def apply_ops(index: DITSLocalIndex, ops: list[int], seed: int) -> None:
             index.update(make_node(moved, rng))
 
 
-def check_registry_and_ordinals(index: DITSLocalIndex) -> None:
-    """Invariant (a): leaf registry and ordinals agree with ``leaves()``."""
+def check_registry(index: DITSLocalIndex) -> None:
+    """Invariant (a): the leaf registry agrees with ``leaves()``."""
     leaves = list(index.leaves())
-    ordinals = index.leaf_ordinals()
-    assert len(ordinals) == len(leaves)
-    for expected, leaf in enumerate(leaves):
-        assert index.leaf_ordinal(leaf) == expected
     registry_ids: list[str] = []
     for leaf in leaves:
         for dataset_id in leaf.dataset_ids():
@@ -151,7 +147,7 @@ class TestChurnInvariants:
             rng = np.random.default_rng(seed)
             index.build([make_node(f"ds-{i:04d}", rng) for i in range(initial)])
             apply_ops(index, ops, seed)
-            check_registry_and_ordinals(index)
+            check_registry(index)
             check_tree_invariants(index)
             check_search_parity(index, seed)
 
@@ -168,6 +164,6 @@ class TestChurnInvariants:
         assert not index.is_built()
         for node in nodes:
             index.insert(node)
-        check_registry_and_ordinals(index)
+        check_registry(index)
         check_tree_invariants(index)
         check_search_parity(index, 42)

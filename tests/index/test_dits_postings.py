@@ -98,63 +98,3 @@ class TestFullCells:
                 if len(postings) == len(leaf.entries)
             }
             assert leaf.full_cells == expected
-
-
-class TestLeafOrdinals:
-    def test_ordinals_follow_left_to_right_leaf_order(self):
-        index = DITSLocalIndex(leaf_capacity=4)
-        index.build(random_nodes(30, seed=1))
-        ordinals = index.leaf_ordinals()
-        leaves = list(index.leaves())
-        assert [ordinals[id(leaf)] for leaf in leaves] == list(range(len(leaves)))
-        assert index.leaf_ordinal(leaves[-1]) == len(leaves) - 1
-
-    def test_ordinals_stable_across_identical_builds(self):
-        first = DITSLocalIndex(leaf_capacity=4)
-        first.build(random_nodes(30, seed=2))
-        second = DITSLocalIndex(leaf_capacity=4)
-        second.build(random_nodes(30, seed=2))
-        first_by_content = {
-            tuple(leaf.dataset_ids()): first.leaf_ordinal(leaf) for leaf in first.leaves()
-        }
-        second_by_content = {
-            tuple(leaf.dataset_ids()): second.leaf_ordinal(leaf) for leaf in second.leaves()
-        }
-        assert first_by_content == second_by_content
-
-    def test_ordinals_refresh_after_structural_change(self):
-        nodes = random_nodes(20, seed=4)
-        index = DITSLocalIndex(leaf_capacity=4)
-        index.build(nodes[:-1])
-        before = set(index.leaf_ordinals().values())
-        index.insert(nodes[-1])
-        after = index.leaf_ordinals()
-        assert set(after.values()) == set(range(len(list(index.leaves()))))
-        assert before == set(range(len(before)))
-
-    def test_foreign_leaf_rejected(self):
-        index = DITSLocalIndex(leaf_capacity=4)
-        index.build(random_nodes(10, seed=5))
-        other = DITSLocalIndex(leaf_capacity=4)
-        other.build(random_nodes(10, seed=6))
-        foreign = next(iter(other.leaves()))
-        with pytest.raises(ValueError):
-            index.leaf_ordinal(foreign)
-
-
-class TestSearchStatsOrdinals:
-    def test_candidate_leaf_ids_are_stable_ordinals(self):
-        from repro.search.overlap import OverlapSearch
-
-        nodes = random_nodes(40, seed=7)
-        results = []
-        for _ in range(2):
-            index = DITSLocalIndex(leaf_capacity=4)
-            index.build(nodes)
-            search = OverlapSearch(index)
-            search.search_node(nodes[0], k=5)
-            results.append(list(search.last_stats.candidate_leaf_ids))
-        assert results[0] == results[1]
-        assert results[0] == sorted(results[0])
-        leaf_count = len(list(index.leaves()))
-        assert all(0 <= ordinal < leaf_count for ordinal in results[0])

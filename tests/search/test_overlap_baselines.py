@@ -63,11 +63,17 @@ class TestAllBaselinesAgree:
         methods = build_all_methods(nodes)
         for query in nodes[:5]:
             truth = brute_force_overlap(query, nodes, k)
-            truth_positive = [score for score in truth.scores if score > 0]
+            truth_positive = [(e.dataset_id, e.score) for e in truth if e.score > 0]
             for name, method in methods.items():
                 result = method.search(OverlapQuery(query=query, k=k))
-                got_positive = [score for score in result.scores if score > 0]
-                assert got_positive == truth_positive, name
+                got_positive = [(e.dataset_id, e.score) for e in result if e.score > 0]
+                if name == "Josie":
+                    # Josie's ``upper_bound <= kth_score`` prune may skip an
+                    # equal-score dataset with a smaller id, so only its
+                    # scores are canonical.
+                    assert [s for _, s in got_positive] == [s for _, s in truth_positive], name
+                else:
+                    assert got_positive == truth_positive, name
 
     def test_all_respect_k(self):
         nodes = random_nodes(30, seed=4)

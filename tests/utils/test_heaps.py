@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.heaps import BoundedTopK, CanonicalTopK
+from repro.utils.heaps import CanonicalTopK
 
 
 class TestBasics:
     def test_rejects_non_positive_k(self):
         with pytest.raises(ValueError):
-            BoundedTopK(0)
+            CanonicalTopK(0)
         with pytest.raises(ValueError):
-            BoundedTopK(-3)
+            CanonicalTopK(-3)
 
     def test_empty_heap(self):
-        heap = BoundedTopK(3)
+        heap = CanonicalTopK(3)
         assert len(heap) == 0
         assert not heap
         assert not heap.is_full()
@@ -25,13 +25,13 @@ class TestBasics:
         assert heap.items() == []
 
     def test_keeps_largest_k(self):
-        heap = BoundedTopK(3)
+        heap = CanonicalTopK(3)
         for score in [5, 1, 9, 3, 7, 2]:
             heap.push(score, f"item-{score}")
         assert [score for score, _ in heap.items()] == [9, 7, 5]
 
     def test_kth_score_is_threshold(self):
-        heap = BoundedTopK(2)
+        heap = CanonicalTopK(2)
         heap.push(4, "a")
         heap.push(6, "b")
         assert heap.kth_score() == 4
@@ -40,26 +40,24 @@ class TestBasics:
         assert heap.kth_score() == 5
 
     def test_push_returns_whether_retained(self):
-        heap = BoundedTopK(1)
+        heap = CanonicalTopK(1)
         assert heap.push(1, "a") is True
         assert heap.push(0, "b") is False
         assert heap.push(2, "c") is True
 
-    def test_extend(self):
-        heap = BoundedTopK(2)
-        heap.extend([(1, "a"), (5, "b"), (3, "c")])
-        assert [item for _, item in heap.items()] == ["b", "c"]
-
-    def test_equal_scores_keep_insertion_order(self):
-        heap = BoundedTopK(3)
-        heap.push(2, "first")
-        heap.push(2, "second")
-        heap.push(2, "third")
-        assert [item for _, item in heap.items()] == ["first", "second", "third"]
+    def test_equal_score_smaller_item_displaces_largest_when_full(self):
+        heap = CanonicalTopK(2)
+        heap.push(2, "b")
+        heap.push(2, "c")
+        assert heap.push(2, "a") is True
+        assert "c" not in heap
+        assert heap.push(2, "d") is False
+        assert heap.items() == [(2, "a"), (2, "b")]
 
     def test_iteration_matches_items(self):
-        heap = BoundedTopK(4)
-        heap.extend([(i, str(i)) for i in range(10)])
+        heap = CanonicalTopK(4)
+        for i in range(10):
+            heap.push(i, str(i))
         assert list(heap) == heap.items()
 
 
@@ -67,7 +65,7 @@ class TestProperties:
     @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=60),
            st.integers(min_value=1, max_value=10))
     def test_matches_sorted_topk(self, scores, k):
-        heap = BoundedTopK(k)
+        heap = CanonicalTopK(k)
         for index, score in enumerate(scores):
             heap.push(score, index)
         expected = sorted(scores, reverse=True)[:k]
@@ -77,11 +75,35 @@ class TestProperties:
                     min_size=1, max_size=40),
            st.integers(min_value=1, max_value=8))
     def test_never_exceeds_k(self, scores, k):
-        heap = BoundedTopK(k)
+        heap = CanonicalTopK(k)
         for index, score in enumerate(scores):
             heap.push(score, index)
         assert len(heap) <= k
         assert heap.is_full() == (len(scores) >= k)
+
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=40),
+           st.integers(min_value=1, max_value=8))
+    def test_kth_score_is_kth_largest_offered(self, scores, k):
+        """The prune threshold does not depend on how ties are broken."""
+        heap = CanonicalTopK(k)
+        for index, score in enumerate(scores):
+            heap.push(score, index)
+        if len(scores) >= k:
+            assert heap.kth_score() == sorted(scores, reverse=True)[k - 1]
+        else:
+            assert heap.kth_score() == float("-inf")
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                              st.integers(min_value=0, max_value=50)),
+                    min_size=1, max_size=40, unique_by=lambda pair: pair[1]),
+           st.integers(min_value=1, max_value=6))
+    def test_membership_matches_items_after_evictions(self, pairs, k):
+        heap = CanonicalTopK(k)
+        for score, item in pairs:
+            heap.push(score, item)
+        retained = {item for _, item in heap.items()}
+        for _, item in pairs:
+            assert (item in heap) == (item in retained)
 
 
 class TestCanonicalTopK:
