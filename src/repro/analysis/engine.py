@@ -80,11 +80,6 @@ class AnalysisReport:
     unused_suppressions: list[tuple[str, int, str]] = field(default_factory=list)
     modules_scanned: int = 0
 
-    @property
-    def clean(self) -> bool:
-        """Whether the run produced no live findings."""
-        return not self.findings
-
     def as_dict(self) -> dict[str, object]:
         """JSON-ready document (schema ``repro-lint/v1``, ordered keys)."""
         return {

@@ -4,19 +4,15 @@
   configuration and provides timing utilities.
 * :mod:`repro.bench.experiments` — one driver per paper figure/table; each
   returns plain row dictionaries.
-* :mod:`repro.bench.reporting` — renders rows as aligned text tables and CSV.
+* :mod:`repro.bench.reporting` — renders rows as aligned text tables.
 """
 
 from repro.bench.harness import ExperimentConfig, Workbench, time_call
-from repro.bench.plots import ascii_line_chart, series_from_rows
-from repro.bench.reporting import format_table, rows_to_csv
+from repro.bench.reporting import format_table
 
 __all__ = [
     "ExperimentConfig",
     "Workbench",
-    "ascii_line_chart",
     "format_table",
-    "rows_to_csv",
-    "series_from_rows",
     "time_call",
 ]

@@ -1,16 +1,15 @@
-"""Rendering experiment rows as text tables and CSV.
+"""Rendering experiment rows as text tables.
 
-The experiment drivers return plain lists of dictionaries; these helpers
-format them the way EXPERIMENTS.md and the benchmark console output present
-them, keeping the drivers free of any formatting concerns.
+The experiment drivers return plain lists of dictionaries; this helper
+formats them the way the CLI and the benchmark console output present them,
+keeping the drivers free of any formatting concerns.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "rows_to_csv"]
+__all__ = ["format_table"]
 
 
 def format_table(rows: Sequence[Mapping[str, object]], title: str | None = None) -> str:
@@ -33,20 +32,6 @@ def format_table(rows: Sequence[Mapping[str, object]], title: str | None = None)
             " | ".join(_fmt(row.get(column)).ljust(widths[column]) for column in columns)
         )
     return "\n".join(lines)
-
-
-def rows_to_csv(rows: Sequence[Mapping[str, object]]) -> str:
-    """Render ``rows`` as CSV text (header from the first row's keys)."""
-    if not rows:
-        return ""
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({key: _fmt(value) for key, value in row.items()})
-    return buffer.getvalue()
 
 
 def _fmt(value: object) -> str:

@@ -43,7 +43,6 @@ from repro.core.problems import (
     OverlapQuery,
     OverlapResult,
     coverage_of,
-    marginal_gain,
     overlap_of,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "coverage_of",
     "get_engine",
     "is_directly_connected",
-    "marginal_gain",
     "set_engine",
     "node_distance_bounds",
     "overlap_of",

@@ -13,7 +13,7 @@ predicates used by tests and by the baseline (non-indexed) greedy search.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.core.dataset import DatasetNode
 from repro.core.distance import (
@@ -31,7 +31,9 @@ __all__ = [
 ]
 
 
-def is_directly_connected(node_a: DatasetNode, node_b: DatasetNode, delta: float) -> bool:
+def is_directly_connected(  # public-api: pairwise oracle of the incremental-greedy parity suite
+    node_a: DatasetNode, node_b: DatasetNode, delta: float
+) -> bool:
     """Whether two dataset nodes are directly connected under threshold ``delta``.
 
     The Lemma 4 bounds are used to avoid the exact (quadratic) distance
@@ -71,7 +73,8 @@ class ConnectivityGraph:
     """Incremental connectivity structure over dataset nodes.
 
     Nodes are added one at a time; edges to previously added nodes are
-    materialised using :func:`is_directly_connected`, and a union-find keeps
+    materialised by one batched ``DistanceEngine.connected_mask`` call (the
+    vectorized :func:`is_directly_connected`), and a union-find keeps
     track of the components.  This matches how CJSP result sets grow: the
     greedy algorithm adds one dataset per iteration and must keep the result
     connected to the query.
@@ -144,38 +147,9 @@ class ConnectivityGraph:
             self._union(node.dataset_id, other_id)
         return neighbours
 
-    def add_nodes(self, nodes: Iterable[DatasetNode]) -> None:
-        """Add every node in ``nodes``."""
-        for node in nodes:
-            self.add_node(node)
-
-    def are_connected(self, id_a: str, id_b: str) -> bool:
-        """Whether the two datasets are directly or indirectly connected."""
-        if id_a not in self._nodes or id_b not in self._nodes:
-            return False
-        return self._find(id_a) == self._find(id_b)
-
-    def is_connected_to_any(self, node: DatasetNode, ids: Iterable[str]) -> bool:
-        """Whether ``node`` would be directly connected to any member of ``ids``."""
-        return any(
-            other_id in self._nodes
-            and is_directly_connected(node, self._nodes[other_id], self._delta)
-            for other_id in ids
-        )
-
     def components(self) -> list[set[str]]:
         """Connected components as sets of dataset IDs (deterministic order)."""
         groups: dict[str, set[str]] = {}
         for node_id in self._nodes:
             groups.setdefault(self._find(node_id), set()).add(node_id)
         return [groups[root] for root in sorted(groups)]
-
-    def is_fully_connected(self) -> bool:
-        """Whether all added nodes form a single component."""
-        if not self._nodes:
-            return True
-        return len(self.components()) == 1
-
-    def adjacency(self) -> Mapping[str, set[str]]:
-        """Read-only view of the direct-connection adjacency lists."""
-        return {node_id: set(neigh) for node_id, neigh in self._adjacency.items()}

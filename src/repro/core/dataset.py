@@ -96,14 +96,6 @@ class SpatialDataset:
         """Minimum bounding rectangle of the points."""
         return BoundingBox.from_points(self.points)
 
-    def to_cell_set(self, grid: Grid) -> "CellSet":
-        """Discretise the dataset onto ``grid`` (Definition 5).
-
-        Runs one vectorized discretisation pass over all points instead of a
-        per-point Python loop.
-        """
-        return CellSet(dataset_id=self.dataset_id, cells_array=grid.cell_ids_of_batch(self.points))
-
     def to_node(self, grid: Grid) -> "DatasetNode":
         """Build the DITS dataset node for this dataset under ``grid``."""
         return DatasetNode.from_dataset(self, grid)
@@ -155,14 +147,6 @@ class CellSet:
     def coverage(self) -> int:
         """Spatial coverage: the number of distinct cells."""
         return self.cells_array.size
-
-    def overlap_with(self, other: "CellSet | Iterable[int]") -> int:
-        """Size of the intersection with another cell set."""
-        other_array = (
-            other.cells_array if isinstance(other, CellSet) else cellsets.as_cell_array(other)
-        )
-        return cellsets.intersection_size(self.cells_array, other_array)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class DatasetNode:
@@ -262,13 +246,6 @@ class DatasetNode:
     def coverage(self) -> int:
         """Number of distinct cells covered by the dataset."""
         return self.cells_array.size
-
-    def overlap_with(self, other: "DatasetNode | Iterable[int]") -> int:
-        """Intersection size with another node or raw cell set."""
-        other_array = (
-            other.cells_array if isinstance(other, DatasetNode) else cellsets.as_cell_array(other)
-        )
-        return cellsets.intersection_size(self.cells_array, other_array)
 
     def wire_payload(self) -> dict[str, object]:
         """Compact representation used for communication-byte accounting."""

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.dataset import DatasetNode
 from repro.core.distance_engine import (
     cell_coords_of_array,
@@ -26,7 +24,6 @@ from repro.core.distance_engine import (
     min_coords_distance,
 )
 from repro.core.errors import EmptyDatasetError
-from repro.core.grid import Grid
 from repro.utils import cellsets
 from repro.utils.zorder import zorder_decode
 
@@ -40,7 +37,7 @@ __all__ = [
 ]
 
 
-def cell_distance(cell_a: int, cell_b: int) -> float:
+def cell_distance(cell_a: int, cell_b: int) -> float:  # public-api: scalar Def. 6 test oracle
     """Euclidean distance between two cells identified by z-order IDs.
 
     Cell IDs are decoded into grid coordinates and compared with the L2
@@ -52,7 +49,9 @@ def cell_distance(cell_a: int, cell_b: int) -> float:
     return math.hypot(ax - bx, ay - by)
 
 
-def cell_set_distance(cells_a: Iterable[int], cells_b: Iterable[int]) -> float:
+def cell_set_distance(  # public-api: the stateless Def. 6 oracle of the engine parity suites
+    cells_a: Iterable[int], cells_b: Iterable[int]
+) -> float:
     """Exact distance between two cell-based datasets (Definition 6).
 
     The distance is the minimum pairwise cell distance.  Small instances
@@ -80,7 +79,9 @@ def cell_set_distance(cells_a: Iterable[int], cells_b: Iterable[int]) -> float:
     )
 
 
-def exact_node_distance(node_a: DatasetNode, node_b: DatasetNode) -> float:
+def exact_node_distance(  # public-api: the exact-distance oracle of the connectivity tests
+    node_a: DatasetNode, node_b: DatasetNode
+) -> float:
     """Exact cell-based distance between the cells of two dataset nodes.
 
     Delegates to the default :class:`~repro.core.distance_engine.DistanceEngine`
@@ -107,43 +108,3 @@ def node_distance_bounds(node_a: DatasetNode, node_b: DatasetNode) -> tuple[floa
     slack = node_a.radius + node_b.radius
     return max(pivot_distance - slack, 0.0), pivot_distance + slack
 
-
-def point_set_distance(
-    points_a: Iterable[tuple[float, float]],
-    points_b: Iterable[tuple[float, float]],
-) -> float:
-    """Exact minimum pairwise Euclidean distance between two raw point sets.
-
-    Provided for completeness (e.g. validating the grid discretisation in
-    tests); the search algorithms themselves only use cell distances.
-    """
-    array_a = np.asarray([tuple(point) for point in points_a], dtype=np.float64)
-    array_b = np.asarray([tuple(point) for point in points_b], dtype=np.float64)
-    if array_a.size == 0 or array_b.size == 0:
-        raise EmptyDatasetError("point set distance requires two non-empty sets")
-    array_a = array_a.reshape(len(array_a), 2)
-    array_b = array_b.reshape(len(array_b), 2)
-    # Raw points are arbitrary floats, so unlike the integer-grid kernels this
-    # keeps the scalar path's ``hypot`` semantics: correctly rounded and safe
-    # from overflow when squaring large coordinates.  The broadcast runs in
-    # row blocks so memory stays bounded for large point sets.
-    rows_per_block = max(1, 131_072 // len(array_b))
-    best = math.inf
-    for start in range(0, len(array_a), rows_per_block):
-        block = array_a[start : start + rows_per_block]
-        dx = block[:, None, 0] - array_b[None, :, 0]
-        dy = block[:, None, 1] - array_b[None, :, 1]
-        best = min(best, float(np.hypot(dx, dy).min()))
-    return best
-
-
-def grid_cell_set_distance(grid: Grid, cells_a: Iterable[int], cells_b: Iterable[int]) -> float:
-    """Cell-set distance validated against ``grid`` (raises on invalid IDs)."""
-    set_a = set(cells_a)
-    set_b = set(cells_b)
-    # One vectorized range check per side replaces the O(|union|) Python
-    # decode loop; same InvalidParameterError as Grid.coords_of_cell.
-    for array in (cellsets.as_cell_array(set_a), cellsets.as_cell_array(set_b)):
-        if array.size:
-            grid.cells_to_coords_batch(array)
-    return cell_set_distance(set_a, set_b)

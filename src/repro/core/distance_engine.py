@@ -208,10 +208,6 @@ class DistanceEngine:
                 self._evictions += 1
         return entry
 
-    def coords_of(self, node: DatasetNode) -> np.ndarray:
-        """Decoded ``(n, 2)`` coordinate array of ``node``'s cells (cached)."""
-        return self._geometry_of(node).coords
-
     def _tree_for(self, entry: _NodeGeometry) -> cKDTree:
         tree = entry.tree
         if tree is None:
@@ -430,7 +426,7 @@ def get_engine() -> DistanceEngine:
     return engine
 
 
-def set_engine(engine: DistanceEngine) -> DistanceEngine:
+def set_engine(engine: DistanceEngine) -> DistanceEngine:  # public-api: tests swap engines
     """Swap the default engine (tests, cache re-sizing); returns the old one."""
     global _default_engine
     previous = get_engine()

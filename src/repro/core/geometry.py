@@ -156,17 +156,6 @@ class BoundingBox:
     # ------------------------------------------------------------------ #
     # Operations
     # ------------------------------------------------------------------ #
-    def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
-        """The overlapping rectangle, or ``None`` if the boxes are disjoint."""
-        if not self.intersects(other):
-            return None
-        return BoundingBox(
-            max(self.min_x, other.min_x),
-            max(self.min_y, other.min_y),
-            min(self.max_x, other.max_x),
-            min(self.max_y, other.max_y),
-        )
-
     def union(self, other: "BoundingBox") -> "BoundingBox":
         """Smallest rectangle enclosing both boxes."""
         return BoundingBox(
@@ -184,12 +173,6 @@ class BoundingBox:
             self.max_x + margin,
             self.max_y + margin,
         )
-
-    def min_distance_to(self, other: "BoundingBox") -> float:
-        """Smallest Euclidean distance between any two points of the boxes."""
-        dx = max(self.min_x - other.max_x, other.min_x - self.max_x, 0.0)
-        dy = max(self.min_y - other.max_y, other.min_y - self.max_y, 0.0)
-        return math.hypot(dx, dy)
 
     def min_distance_to_point(self, point: Point) -> float:
         """Smallest Euclidean distance from the box to ``point``."""

@@ -12,7 +12,6 @@ search algorithms operate on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -100,7 +99,7 @@ class Grid:
         row = min(max(row, 0), side - 1)
         return col, row
 
-    def cell_id_of(self, point: Point | Sequence[float]) -> int:
+    def cell_id_of(self, point: Point | Sequence[float]) -> int:  # public-api: batch oracle
         """Z-order cell ID of the cell containing ``point``."""
         col, row = self.cell_coords_of(point)
         return zorder_encode(col, row)
@@ -188,7 +187,7 @@ class Grid:
             )
         return zorder_encode(col, row)
 
-    def cell_center(self, cell_id: int) -> Point:
+    def cell_center(self, cell_id: int) -> Point:  # public-api: scalar oracle of the batch
         """Geographic centre of ``cell_id``."""
         col, row = self.coords_of_cell(cell_id)
         return Point(
@@ -196,75 +195,19 @@ class Grid:
             self.space.min_y + (row + 0.5) * self.cell_height,
         )
 
-    def cell_box(self, cell_id: int) -> BoundingBox:
-        """Geographic bounding box of ``cell_id``."""
-        col, row = self.coords_of_cell(cell_id)
-        min_x = self.space.min_x + col * self.cell_width
-        min_y = self.space.min_y + row * self.cell_height
-        return BoundingBox(min_x, min_y, min_x + self.cell_width, min_y + self.cell_height)
-
-    # ------------------------------------------------------------------ #
-    # Region queries
-    # ------------------------------------------------------------------ #
-    def cells_in_box(self, box: BoundingBox) -> list[int]:
-        """All cell IDs whose cells intersect ``box`` (clipped to the space)."""
-        clipped = box.intersection(self.space)
-        if clipped is None:
-            return []
-        min_col, min_row = self.cell_coords_of(Point(clipped.min_x, clipped.min_y))
-        max_col, max_row = self.cell_coords_of(Point(clipped.max_x, clipped.max_y))
-        return [
-            zorder_encode(col, row)
-            for row in range(min_row, max_row + 1)
-            for col in range(min_col, max_col + 1)
-        ]
-
-    def cell_grid_distance(self, cell_a: int, cell_b: int) -> float:
-        """Euclidean distance between two cells measured in grid units.
-
-        This is the distance used by Definition 6: cell IDs are decomposed
-        into their grid coordinates and compared with the L2 norm, so two
-        horizontally adjacent cells are at distance 1.
-        """
-        ax, ay = self.coords_of_cell(cell_a)
-        bx, by = self.coords_of_cell(cell_b)
-        return math.hypot(ax - bx, ay - by)
-
-    def neighbours_of(self, cell_id: int, radius: int = 1) -> list[int]:
-        """Cell IDs within Chebyshev distance ``radius`` of ``cell_id`` (excluding it)."""
-        if radius < 0:
-            raise InvalidParameterError(f"radius must be non-negative, got {radius}")
-        col, row = self.coords_of_cell(cell_id)
-        side = self.cells_per_side
-        neighbours = []
-        for d_row in range(-radius, radius + 1):
-            for d_col in range(-radius, radius + 1):
-                if d_row == 0 and d_col == 0:
-                    continue
-                n_col, n_row = col + d_col, row + d_row
-                if 0 <= n_col < side and 0 <= n_row < side:
-                    neighbours.append(zorder_encode(n_col, n_row))
-        return neighbours
-
     # ------------------------------------------------------------------ #
     # Conversions between grids of different resolution
     # ------------------------------------------------------------------ #
-    def rescale_cell(self, cell_id: int, target: "Grid") -> int:
-        """Map ``cell_id`` of this grid to the cell of ``target`` containing its centre.
-
-        Used by the data center when sources build their local indexes at
-        different resolutions (Section V-B): MBRs and pivots are exchanged in
-        geographic coordinates and re-discretised on arrival.
-        """
-        return target.cell_id_of(self.cell_center(cell_id))
-
     def rescale_cells_batch(self, cell_ids: np.ndarray, target: "Grid") -> np.ndarray:
-        """Vectorized :meth:`rescale_cell` over a sorted unique cell vector.
+        """Map each cell of this grid to the cell of ``target`` holding its centre.
 
-        Equals ``sorted({self.rescale_cell(c, target) for c in cell_ids})``
-        (the batch decode and discretisation are element-wise identical to
-        the scalar ones) as a read-only vector; ``cell_ids`` itself when
-        ``target`` is this grid.
+        Used when sources build their local indexes at different resolutions
+        (Section V-B): cells travel in geographic terms and are
+        re-discretised on arrival.  Takes a sorted unique cell vector and
+        equals ``sorted({target.cell_id_of(self.cell_center(c)) for c in
+        cell_ids})`` (the batch decode and discretisation are element-wise
+        identical to the scalar ones) as a read-only vector; ``cell_ids``
+        itself when ``target`` is this grid.
         """
         if target == self:
             return cell_ids

@@ -4,7 +4,6 @@ This module holds the *semantic* definitions of the two search problems
 (Definitions 10 and 11) independently of any index:
 
 * :func:`overlap_of` and :func:`coverage_of` score a candidate answer.
-* :func:`marginal_gain` is the greedy objective of Algorithm 3 (Equation 3).
 * :class:`OverlapQuery` / :class:`CoverageQuery` bundle a query node with its
   search parameters.
 * :class:`OverlapResult` / :class:`CoverageResult` are the returned answers,
@@ -28,7 +27,6 @@ from repro.core.errors import InvalidParameterError
 __all__ = [
     "overlap_of",
     "coverage_of",
-    "marginal_gain",
     "OverlapQuery",
     "CoverageQuery",
     "OverlapResult",
@@ -53,14 +51,6 @@ def coverage_of(query: DatasetNode, chosen: Iterable[DatasetNode]) -> int:
     for node in chosen:
         covered |= node.cells
     return len(covered)
-
-
-def marginal_gain(candidate: DatasetNode, covered_cells: set[int] | frozenset[int]) -> int:
-    """Marginal gain of adding ``candidate`` given the already ``covered_cells``.
-
-    Equation (3) of the paper: the number of new cells the candidate brings.
-    """
-    return len(candidate.cells - covered_cells)
 
 
 # ---------------------------------------------------------------------- #
@@ -162,11 +152,6 @@ class CoverageResult:
         """IDs of the selected datasets in selection order."""
         return [entry.dataset_id for entry in self.entries]
 
-    @property
-    def gain_over_query(self) -> int:
-        """How many cells the selected datasets add beyond the query alone."""
-        return self.total_coverage - self.query_coverage
-
 
 # ---------------------------------------------------------------------- #
 # Reference (brute force) solvers
@@ -182,7 +167,7 @@ def brute_force_overlap(
     return OverlapResult.from_pairs(scored[:k])
 
 
-def brute_force_coverage(
+def brute_force_coverage(  # public-api: the exact CJSP optimum the greedy tests measure
     query: DatasetNode, candidates: Sequence[DatasetNode], k: int, delta: float
 ) -> CoverageResult:
     """Optimal CJSP by enumerating all subsets of size <= k.

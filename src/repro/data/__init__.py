@@ -4,7 +4,7 @@ The paper evaluates on five real data portals (Table I).  Those archives are
 multi-gigabyte downloads, so this package generates *synthetic equivalents*
 that reproduce each source's shape — number of datasets, dataset-size
 distribution, coordinate extent and spatial clustering — at a configurable
-scale (see DESIGN.md, "Substitutions").
+scale.
 
 * :mod:`repro.data.generators` — primitive generators: random walks
   (trajectory/route-like datasets), Gaussian clusters, uniform scatters and
@@ -12,7 +12,7 @@ scale (see DESIGN.md, "Substitutions").
 * :mod:`repro.data.sources` — the five named source profiles and
   ``build_source_datasets`` to materialise them.
 * :mod:`repro.data.queries` — query workload sampling.
-* :mod:`repro.data.loaders` — CSV/JSON round-trips for datasets and sources.
+* :mod:`repro.data.loaders` — CSV round-trips for datasets and sources.
 * :mod:`repro.data.corpus_cache` — on-disk cache of generated corpora keyed
   by (config hash, seed, generator fingerprint).
 """
@@ -24,12 +24,7 @@ from repro.data.generators import (
     generate_route_dataset,
     generate_uniform_dataset,
 )
-from repro.data.loaders import (
-    load_datasets_json,
-    load_source_csv,
-    save_datasets_json,
-    save_source_csv,
-)
+from repro.data.loaders import load_source_csv, save_source_csv
 from repro.data.queries import sample_queries
 from repro.data.sources import (
     SOURCE_PROFILES,
@@ -48,10 +43,8 @@ __all__ = [
     "generate_route_dataset",
     "generate_uniform_dataset",
     "generator_fingerprint",
-    "load_datasets_json",
     "load_or_generate",
     "load_source_csv",
     "sample_queries",
-    "save_datasets_json",
     "save_source_csv",
 ]

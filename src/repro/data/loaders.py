@@ -1,4 +1,4 @@
-"""Persistence helpers: CSV and JSON round-trips for spatial datasets.
+"""Persistence helpers: CSV round-trips for spatial datasets.
 
 Real deployments of a dataset-search service ingest files from disk; these
 helpers provide a minimal but complete ingestion path so the examples can
@@ -9,39 +9,13 @@ can persist synthetic corpora for repeatable experiments.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Iterable
 
 from repro.core.dataset import SpatialDataset
 from repro.core.errors import EmptyDatasetError
 
-__all__ = [
-    "save_datasets_json",
-    "load_datasets_json",
-    "save_source_csv",
-    "load_source_csv",
-]
-
-
-def save_datasets_json(datasets: Iterable[SpatialDataset], path: str | Path) -> None:
-    """Write datasets to one JSON file: ``{dataset_id: [[x, y], ...], ...}``."""
-    payload = {
-        dataset.dataset_id: [[point.x, point.y] for point in dataset.points]
-        for dataset in datasets
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_datasets_json(path: str | Path) -> list[SpatialDataset]:
-    """Read datasets previously written by :func:`save_datasets_json`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    datasets = []
-    for dataset_id, coordinates in payload.items():
-        if not coordinates:
-            raise EmptyDatasetError(f"dataset {dataset_id!r} in {path} has no points")
-        datasets.append(SpatialDataset.from_coordinates(dataset_id, coordinates))
-    return datasets
+__all__ = ["save_source_csv", "load_source_csv"]
 
 
 def save_source_csv(datasets: Iterable[SpatialDataset], directory: str | Path) -> list[Path]:

@@ -52,7 +52,7 @@ class ExecutionPolicy:
             )
 
     @classmethod
-    def serial(cls) -> "ExecutionPolicy":
+    def serial(cls) -> "ExecutionPolicy":  # public-api: documented in MultiSourceFramework
         """The sequential per-source loop (no thread pool)."""
         return cls(max_workers=1)
 

@@ -110,7 +110,9 @@ class MultiSourceFramework:
         self.center.register_source(source)
         return source
 
-    def add_source_from_nodes(self, source_id: str, nodes: Iterable[DatasetNode]) -> DataSource:
+    def add_source_from_nodes(  # public-api: documented sibling of add_source
+        self, source_id: str, nodes: Iterable[DatasetNode]
+    ) -> DataSource:
         """Create and register a source from pre-gridded dataset nodes (center grid)."""
         source = DataSource(
             source_id=source_id,

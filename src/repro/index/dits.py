@@ -26,7 +26,7 @@ keeps the Lemma 2/3/4 pruning bounds as strong as on a freshly built tree.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.dataset import DatasetNode
 from repro.core.errors import (
@@ -533,7 +533,7 @@ class DITSLocalIndex(DatasetIndex):
                 stack.append(node.right)
                 stack.append(node.left)
 
-    def leaf_for(self, dataset_id: str) -> LeafNode:
+    def leaf_for(self, dataset_id: str) -> LeafNode:  # public-api: registry checks in tests
         """The leaf currently storing ``dataset_id``."""
         try:
             return self._leaf_of[dataset_id]
@@ -577,20 +577,6 @@ class DITSLocalIndex(DatasetIndex):
                 assert isinstance(node, InternalNode)
                 stack.extend(node.children())
         return count
-
-    def visit(self, callback: Callable[[TreeNode], bool]) -> None:
-        """Depth-first traversal; ``callback`` returns ``False`` to prune a subtree."""
-        self._service_pending()
-        if self._root is None:
-            return
-        stack: list[TreeNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if not callback(node):
-                continue
-            if not node.is_leaf():
-                assert isinstance(node, InternalNode)
-                stack.extend(node.children())
 
     def root_summary(self) -> tuple[BoundingBox, Point, float, int]:
         """The ``(rect, pivot, radius, n_datasets)`` summary shipped to DITS-G."""

@@ -228,7 +228,7 @@ class ShardedDITSGlobalIndex:
         with self._lock:
             return sorted(self._summaries)
 
-    def summary_of(self, source_id: str) -> SourceSummary:
+    def summary_of(self, source_id: str) -> SourceSummary:  # public-api: registry checks in tests
         """The registered summary for ``source_id``."""
         with self._lock:
             try:

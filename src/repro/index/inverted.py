@@ -59,10 +59,6 @@ class STS3Index(DatasetIndex):
     # ------------------------------------------------------------------ #
     # Query helpers
     # ------------------------------------------------------------------ #
-    def posting_list(self, cell_id: int) -> set[str]:
-        """Dataset IDs containing ``cell_id`` (empty set if none)."""
-        return set(self._postings.get(cell_id, ()))
-
     def overlap_counts(self, query_cells: Iterable[int]) -> Counter:
         """Per-dataset intersection counts with ``query_cells``."""
         counts: Counter = Counter()

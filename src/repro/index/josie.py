@@ -108,10 +108,6 @@ class JosieIndex(DatasetIndex):
     # ------------------------------------------------------------------ #
     # Top-k overlap search with prefix filtering
     # ------------------------------------------------------------------ #
-    def posting_list(self, cell_id: int) -> list[Posting]:
-        """The sorted posting list of ``cell_id`` (empty if absent)."""
-        return list(self._postings.get(cell_id, ()))
-
     def token_frequency(self, cell_id: int) -> int:
         """Number of datasets containing ``cell_id``."""
         return self._token_frequency.get(cell_id, 0)

@@ -272,22 +272,6 @@ class RTreeIndex(DatasetIndex):
             else:
                 stack.extend(node.children)
 
-    def within_distance(self, rect: BoundingBox, distance: float) -> Iterator[DatasetNode]:
-        """Dataset nodes whose MBR is within ``distance`` of ``rect``."""
-        if self._root is None:
-            return
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.rect.min_distance_to(rect) > distance:
-                continue
-            if node.is_leaf():
-                for entry in node.entries:
-                    if entry.rect.min_distance_to(rect) <= distance:
-                        yield entry
-            else:
-                stack.extend(node.children)
-
     def node_count(self) -> int:
         """Number of R-tree nodes (for the Fig. 8 memory comparison)."""
         return self._root.node_count() if self._root is not None else 0

@@ -76,8 +76,9 @@ def _rtree_bytes(index: RTreeIndex) -> int:
     # The R-tree only stores tree nodes and per-dataset entry references; the
     # cell sets live in the dataset nodes themselves and are not duplicated
     # into the index, so its footprint does not depend on the resolution.
-    # (EXPERIMENTS.md notes this deviation from the paper's Fig. 8, where the
-    # R-tree curve grows with theta.)
+    # This deviates on purpose from the paper's Fig. 8, where the R-tree
+    # curve grows with theta: counting cells the index never holds would
+    # charge it for the dataset nodes every method shares.
     return index.node_count() * _TREE_NODE_BYTES + len(index) * _DATASET_ENTRY_BYTES
 
 

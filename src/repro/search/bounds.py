@@ -22,7 +22,7 @@ from typing import Iterable
 
 from repro.index.dits import LeafNode
 
-__all__ = ["leaf_intersection_bounds", "leaf_upper_bound", "leaf_lower_bound"]
+__all__ = ["leaf_intersection_bounds"]
 
 
 def leaf_intersection_bounds(leaf: LeafNode, query_cells: Iterable[int]) -> tuple[int, int]:
@@ -41,14 +41,3 @@ def leaf_intersection_bounds(leaf: LeafNode, query_cells: Iterable[int]) -> tupl
         return 0, 0
     return len(shared & leaf.full_cells), upper
 
-
-def leaf_upper_bound(leaf: LeafNode, query_cells: Iterable[int]) -> int:
-    """Lemma 2 upper bound only."""
-    query_set = query_cells if isinstance(query_cells, (set, frozenset)) else set(query_cells)
-    return len(query_set & leaf.inverted.keys())
-
-
-def leaf_lower_bound(leaf: LeafNode, query_cells: Iterable[int]) -> int:
-    """Lemma 3 lower bound only."""
-    query_set = query_cells if isinstance(query_cells, (set, frozenset)) else set(query_cells)
-    return len(query_set & leaf.full_cells)

@@ -136,7 +136,7 @@ class JosieOverlap:
         )
 
 
-class BruteForceOverlap:
+class BruteForceOverlap:  # public-api: the ground truth the overlap baselines are tested against
     """OJSP by exhaustively scoring every dataset (test ground truth)."""
 
     name = "BruteForce"

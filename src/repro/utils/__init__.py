@@ -5,11 +5,10 @@ The utilities are intentionally dependency-free (standard library plus
 encoding, index nodes) without creating import cycles.
 """
 
-from repro.utils.sizeof import deep_size_of, encoded_size
+from repro.utils.sizeof import encoded_size
 from repro.utils.zorder import zorder_decode, zorder_encode
 
 __all__ = [
-    "deep_size_of",
     "encoded_size",
     "zorder_decode",
     "zorder_encode",

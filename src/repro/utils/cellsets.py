@@ -7,14 +7,12 @@ scores (Definition 7), difference sizes for CJSP marginal coverage gains
 
 A cell set is a **sorted, de-duplicated** ``numpy.int64`` vector, the one
 form ``DatasetNode``/``CellSet`` store and the wire carries.  On sorted
-vectors the three size kernels need no intermediate result sets: membership
-of the smaller vector in the larger one is resolved with one C-level
+vectors the size kernels need no intermediate result sets: membership of
+the smaller vector in the larger one is resolved with one C-level
 :func:`numpy.searchsorted` sweep (a galloping merge), so
-
-* ``intersection_size(a, b)`` costs ``O(min(m, n) * log(max(m, n)))``
-  vectorized element compares and allocates one boolean mask,
-* ``union_size`` and ``difference_size`` are derived from it by
-  inclusion–exclusion without materializing the union/difference.
+``intersection_size(a, b)`` costs ``O(min(m, n) * log(max(m, n)))``
+vectorized element compares and allocates one boolean mask, and
+``difference_size`` is derived from it without materializing the difference.
 
 The frozenset arithmetic these kernels replaced survives only as the test
 suite's reference oracle (``tests/set_oracle.py``), which the parity suites
@@ -31,20 +29,13 @@ __all__ = [
     "CELL_DTYPE",
     "as_cell_array",
     "intersection_size",
-    "union_size",
     "difference_size",
-    "intersect",
     "union",
-    "difference",
-    "contains_all",
 ]
 
 #: Canonical dtype of cell-ID vectors.  ``theta <= 20`` keeps Morton codes
 #: below ``2**40``, far inside the int64 range.
 CELL_DTYPE = np.int64
-
-_EMPTY = np.empty(0, dtype=CELL_DTYPE)
-
 
 # ---------------------------------------------------------------------- #
 # Construction
@@ -90,37 +81,14 @@ def intersection_size(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(_membership(a, b)))
 
 
-def union_size(a: np.ndarray, b: np.ndarray) -> int:
-    """``|a | b|`` by inclusion–exclusion (no union is materialized)."""
-    return int(a.size + b.size - intersection_size(a, b))
-
-
 def difference_size(a: np.ndarray, b: np.ndarray) -> int:
     """``|a - b|``: cells of ``a`` not present in ``b``."""
     return int(a.size - intersection_size(a, b))
 
 
-def contains_all(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether every cell of ``b`` occurs in ``a``."""
-    if b.size == 0:
-        return True
-    if b.size > a.size:
-        return False
-    return bool(np.all(_membership(b, a)))
-
-
 # ---------------------------------------------------------------------- #
-# Materializing kernels
+# Materializing kernel
 # ---------------------------------------------------------------------- #
-def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted vector of the cells shared by ``a`` and ``b``."""
-    if a.size > b.size:
-        a, b = b, a
-    if a.size == 0:
-        return _EMPTY
-    return a[_membership(a, b)]
-
-
 def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted vector of the cells of ``a`` or ``b`` (merge of two sorted runs)."""
     if a.size == 0:
@@ -133,10 +101,3 @@ def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(merged[1:], merged[:-1], out=keep[1:])
     return merged[keep]
-
-
-def difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted vector of the cells of ``a`` absent from ``b``."""
-    if a.size == 0 or b.size == 0:
-        return a
-    return a[~_membership(a, b)]

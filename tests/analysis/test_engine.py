@@ -67,7 +67,7 @@ class TestSuppressions:
             },
         )
         report = AnalysisEngine(root).run()
-        assert report.clean
+        assert not report.findings
         assert [finding.code for finding in report.suppressed] == ["REPRO301"]
         assert report.unused_suppressions == []
 
@@ -82,7 +82,7 @@ class TestSuppressions:
             },
         )
         report = AnalysisEngine(root).run()
-        assert report.clean and len(report.suppressed) == 1
+        assert not report.findings and len(report.suppressed) == 1
 
     def test_stale_suppression_reported(self, tmp_path):
         root = write_package(
@@ -95,7 +95,7 @@ class TestSuppressions:
             },
         )
         report = AnalysisEngine(root).run()
-        assert report.clean
+        assert not report.findings
         assert report.unused_suppressions == [("pkg/clean.py", 3, "REPRO301")]
 
     def test_docstring_mention_is_not_a_suppression(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.experiments import fig7_source_heatmaps, table1_source_statistics
 from repro.bench.harness import ExperimentConfig, Workbench, time_call
-from repro.bench.reporting import format_table, rows_to_csv
+from repro.bench.reporting import format_table
 
 
 class TestExperimentConfig:
@@ -85,14 +85,26 @@ class TestReporting:
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="empty")
 
-    def test_rows_to_csv(self):
-        csv_text = rows_to_csv(self.ROWS)
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "method,time_ms,k"
-        assert len(lines) == 3
+    def test_columns_are_aligned(self):
+        lines = format_table(self.ROWS).splitlines()
+        header, rule, *body = lines
+        assert header.startswith("method")
+        assert set(rule) <= {"-", "+"}
+        assert len({len(line) for line in lines}) == 1
+        separators = {i for i, ch in enumerate(header) if ch == "|"}
+        for line in body:
+            assert {i for i, ch in enumerate(line) if ch == "|"} == separators
 
-    def test_rows_to_csv_empty(self):
-        assert rows_to_csv([]) == ""
+    def test_only_floats_get_three_decimals(self):
+        text = format_table([{"k": 10, "ms": 2.0, "label": "x1.5"}])
+        row = text.splitlines()[-1].split("|")
+        assert [cell.strip() for cell in row] == ["10", "2.000", "x1.5"]
+
+    def test_columns_follow_the_first_row(self):
+        text = format_table([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
+        header, _, first, second = text.splitlines()
+        assert [cell.strip() for cell in header.split("|")] == ["a", "b"]
+        assert [cell.strip() for cell in second.split("|")] == ["3", "None"]
 
 
 class TestLightweightDrivers:

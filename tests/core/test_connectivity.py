@@ -88,24 +88,15 @@ class TestConnectivityGraph:
 
     def test_components_and_connectivity(self):
         graph = ConnectivityGraph(delta=1.0)
-        graph.add_nodes([node("a", {(0, 0)}), node("b", {(1, 0)}), node("c", {(10, 10)})])
-        assert graph.are_connected("a", "b")
-        assert not graph.are_connected("a", "c")
+        for member in [node("a", {(0, 0)}), node("b", {(1, 0)}), node("c", {(10, 10)})]:
+            graph.add_node(member)
         assert graph.components() == [{"a", "b"}, {"c"}]
-        assert not graph.is_fully_connected()
 
     def test_indirect_connection_through_chain(self):
         graph = ConnectivityGraph(delta=1.0)
-        graph.add_nodes(
-            [node("a", {(0, 0)}), node("b", {(1, 0)}), node("c", {(2, 0)}), node("d", {(3, 0)})]
-        )
-        assert graph.are_connected("a", "d")
-        assert graph.is_fully_connected()
-
-    def test_unknown_ids_not_connected(self):
-        graph = ConnectivityGraph(delta=1.0)
-        graph.add_node(node("a", {(0, 0)}))
-        assert not graph.are_connected("a", "missing")
+        for x, name in enumerate("abcd"):
+            graph.add_node(node(name, {(x, 0)}))
+        assert graph.components() == [{"a", "b", "c", "d"}]
 
     def test_duplicate_add_returns_existing_neighbours(self):
         graph = ConnectivityGraph(delta=1.0)
@@ -116,27 +107,13 @@ class TestConnectivityGraph:
         assert graph.add_node(b) == {"a"}
         assert len(graph) == 2
 
-    def test_is_connected_to_any(self):
-        graph = ConnectivityGraph(delta=1.0)
-        graph.add_nodes([node("a", {(0, 0)}), node("b", {(10, 10)})])
-        probe = node("p", {(1, 0)})
-        assert graph.is_connected_to_any(probe, ["a"])
-        assert not graph.is_connected_to_any(probe, ["b"])
-
-    def test_adjacency_view(self):
-        graph = ConnectivityGraph(delta=1.0)
-        graph.add_nodes([node("a", {(0, 0)}), node("b", {(1, 0)})])
-        adjacency = graph.adjacency()
-        assert adjacency["a"] == {"b"}
-        assert adjacency["b"] == {"a"}
-
     def test_negative_delta_rejected(self):
         with pytest.raises(InvalidParameterError):
             ConnectivityGraph(delta=-0.1)
 
     def test_empty_collection_is_connected(self):
         assert satisfies_spatial_connectivity([], delta=1.0)
-        assert ConnectivityGraph(delta=1.0).is_fully_connected()
+        assert ConnectivityGraph(delta=1.0).components() == []
 
 
 class TestConnectivityProperties:
@@ -165,3 +142,29 @@ class TestConnectivityProperties:
         small = len(connected_components(nodes, 1.0))
         large = len(connected_components(nodes, 10.0))
         assert large <= small
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(coords, min_size=2, max_size=6), st.floats(min_value=0, max_value=10))
+    def test_components_match_the_pairwise_predicate(self, node_coords, delta):
+        # The graph finds edges with one batched engine call per insert; its
+        # components must be those of the pairwise Definition 8 relation.
+        nodes = [node(f"n{i}", coords) for i, coords in enumerate(node_coords)]
+        expected = [{n.dataset_id} for n in nodes]
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1:]:
+                if is_directly_connected(a, b, delta):
+                    left = next(c for c in expected if a.dataset_id in c)
+                    right = next(c for c in expected if b.dataset_id in c)
+                    if left is not right:
+                        expected.remove(right)
+                        left |= right
+        actual = connected_components(nodes, delta)
+        assert sorted(map(sorted, actual)) == sorted(map(sorted, expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(coords, min_size=2, max_size=6), st.floats(min_value=0, max_value=10))
+    def test_components_do_not_depend_on_insertion_order(self, node_coords, delta):
+        nodes = [node(f"n{i}", coords) for i, coords in enumerate(node_coords)]
+        forward = connected_components(nodes, delta)
+        backward = connected_components(nodes[::-1], delta)
+        assert sorted(map(sorted, forward)) == sorted(map(sorted, backward))

@@ -35,17 +35,12 @@ class TestSpatialDataset:
         dataset = SpatialDataset.from_coordinates("d", [(0, 0), (1, 1)])
         assert [p.as_tuple() for p in dataset] == [(0.0, 0.0), (1.0, 1.0)]
 
-    def test_to_cell_set(self):
-        dataset = SpatialDataset.from_coordinates("d", [(0.5, 0.5), (0.6, 0.6), (10.5, 0.5)])
-        cell_set = dataset.to_cell_set(GRID)
-        assert cell_set.dataset_id == "d"
-        assert len(cell_set) == 2
-
-    def test_to_node_matches_cell_set(self):
-        dataset = SpatialDataset.from_coordinates("d", [(0.5, 0.5), (10.5, 20.5)])
+    def test_to_node_discretises_the_points(self):
+        dataset = SpatialDataset.from_coordinates("d", [(0.5, 0.5), (0.6, 0.6), (10.5, 20.5)])
         node = dataset.to_node(GRID)
-        assert node.cells == dataset.to_cell_set(GRID).cells
-        assert node.point_count == 2
+        assert node.dataset_id == "d"
+        assert node.cells == {GRID.cell_id_of(point) for point in dataset}
+        assert node.point_count == 3
 
 
 class TestCellSet:
@@ -59,12 +54,6 @@ class TestCellSet:
         assert 9 not in cell_set
         assert len(cell_set) == 3
         assert cell_set.coverage == 3
-
-    def test_overlap_with(self):
-        a = CellSet(dataset_id="a", cells_array=np.array([1, 2, 3]))
-        b = CellSet(dataset_id="b", cells_array=np.array([2, 3, 4]))
-        assert a.overlap_with(b) == 2
-        assert a.overlap_with({5, 6}) == 0
 
 
 class TestDatasetNode:
@@ -85,12 +74,6 @@ class TestDatasetNode:
         assert node.dataset_id == "d"
         assert node.point_count == 2
         assert node.coverage == 2
-
-    def test_overlap_with(self):
-        node_a = DatasetNode.from_cells("a", {1, 2, 3}, GRID)
-        node_b = DatasetNode.from_cells("b", {3, 4}, GRID)
-        assert node_a.overlap_with(node_b) == 1
-        assert node_a.overlap_with({1, 9}) == 1
 
     def test_wire_payload_is_serialisable(self):
         node = DatasetNode.from_cells("a", {3, 1, 2}, GRID)
@@ -116,7 +99,6 @@ class TestDatasetNode:
         )
         arrays = (
             dataset.to_node(GRID).cells_array,
-            dataset.to_cell_set(GRID).cells_array,
             DatasetNode.from_cells("c", {5, 2}, GRID).cells_array,
             direct.cells_array,
             CellSet(dataset_id="s", cells_array=np.array([4])).cells_array,
@@ -135,12 +117,6 @@ class TestDatasetNodeProperties:
     def test_coverage_equals_cell_count(self, cells):
         node = DatasetNode.from_cells("d", cells, GRID)
         assert node.coverage == len(cells)
-
-    @given(cells_strategy, cells_strategy)
-    def test_overlap_symmetry(self, cells_a, cells_b):
-        node_a = DatasetNode.from_cells("a", cells_a, GRID)
-        node_b = DatasetNode.from_cells("b", cells_b, GRID)
-        assert node_a.overlap_with(node_b) == node_b.overlap_with(node_a)
 
     @given(cells_strategy, cells_strategy)
     def test_merge_coverage_is_union_size(self, cells_a, cells_b):
@@ -170,8 +146,7 @@ class TestSingleStoredForm:
     def test_array_reads_do_not_build_the_view(self):
         node_a = DatasetNode.from_cells("a", {1, 2, 3}, GRID)
         node_b = DatasetNode.from_cells("b", {3, 4}, GRID)
-        node_a.coverage, node_a.overlap_with(node_b), node_a.overlap_with({1, 9})
-        node_a.wire_payload()
+        node_a.coverage, node_a.wire_payload()
         merged = node_a.merged_with(node_b)
         assert node_a._cells_view is None and node_b._cells_view is None
         assert merged._cells_view is None

@@ -13,11 +13,9 @@ from repro.core.distance import (
     cell_distance,
     cell_set_distance,
     exact_node_distance,
-    grid_cell_set_distance,
     node_distance_bounds,
     node_distance_lower_bound,
     node_distance_upper_bound,
-    point_set_distance,
 )
 from repro.core.errors import EmptyDatasetError
 from repro.core.geometry import BoundingBox
@@ -44,15 +42,12 @@ class TestCellDistance:
     def test_example3_distances(self):
         # Example 3 of the paper on the Fig. 2 grid: dist(S_D1, S_D2) = 1,
         # dist(S_D1, S_D3) = 1, dist(S_D2, S_D3) = sqrt(2).
-        grid = Grid(theta=2, space=BoundingBox(0, 0, 4, 4))
         d1 = frozenset({9, 11})
         d2 = frozenset({1, 3})
         d3 = frozenset({12, 13})
         assert cell_set_distance(d1, d2) == pytest.approx(1.0)
         assert cell_set_distance(d1, d3) == pytest.approx(1.0)
         assert cell_set_distance(d2, d3) == pytest.approx(math.sqrt(2))
-        # Keep the grid fixture honest: the IDs above are valid cells of it.
-        assert grid_cell_set_distance(grid, d1, d2) == pytest.approx(1.0)
 
 
 class TestCellSetDistance:
@@ -83,50 +78,6 @@ class TestCellSetDistance:
         a = {cell(1, 1), cell(2, 5)}
         b = {cell(9, 9), cell(4, 4)}
         assert cell_set_distance(a, b) == pytest.approx(cell_set_distance(b, a))
-
-
-class TestPointSetDistance:
-    def test_basic(self):
-        assert point_set_distance([(0, 0)], [(3, 4)]) == pytest.approx(5.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyDatasetError):
-            point_set_distance([], [(1, 1)])
-
-    def test_many_points_match_scalar_loop(self):
-        rng = __import__("numpy").random.default_rng(0)
-        pts_a = [(float(x), float(y)) for x, y in rng.normal(size=(60, 2))]
-        pts_b = [(float(x), float(y)) for x, y in rng.normal(size=(60, 2))]
-        expected = min(
-            math.hypot(ax - bx, ay - by) for ax, ay in pts_a for bx, by in pts_b
-        )
-        assert point_set_distance(pts_a, pts_b) == pytest.approx(expected, abs=0)
-
-    def test_blocked_broadcast_matches_single_block(self):
-        # 300 x 1000 pairs spans multiple row blocks of the bounded-memory
-        # broadcast; the minimum must match the unblocked computation.
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        pts_a = rng.uniform(-50, 50, size=(300, 2))
-        pts_b = rng.uniform(-50, 50, size=(1000, 2))
-        expected = float(
-            np.hypot(
-                pts_a[:, None, 0] - pts_b[None, :, 0],
-                pts_a[:, None, 1] - pts_b[None, :, 1],
-            ).min()
-        )
-        got = point_set_distance(map(tuple, pts_a), map(tuple, pts_b))
-        assert got == pytest.approx(expected, abs=0)
-
-    def test_huge_coordinates_do_not_overflow(self):
-        # hypot semantics: squaring 1e200 would overflow to inf.
-        assert point_set_distance([(1e200, 0.0)], [(0.0, 0.0)]) == pytest.approx(1e200)
-
-    def test_point_objects_accepted(self):
-        from repro.core.geometry import Point
-
-        assert point_set_distance([Point(0, 0)], [Point(0, 2)]) == pytest.approx(2.0)
 
 
 class TestNodeDistanceBounds:

@@ -66,6 +66,11 @@ def random_nodes(count: int, seed: int, spread: int = 200) -> list[DatasetNode]:
     return nodes
 
 
+def load(engine: DistanceEngine, node: DatasetNode) -> None:
+    """Decode ``node`` into ``engine``'s cache: one miss, then one hit."""
+    engine.min_distances(node, [node])
+
+
 class TestBatchedKernels:
     def test_min_distances_matches_pairwise_reference(self):
         engine = DistanceEngine()
@@ -221,7 +226,7 @@ class TestGeometryCache:
         engine = DistanceEngine(max_entries=4)
         nodes = random_nodes(10, seed=1)
         for node in nodes:
-            engine.coords_of(node)
+            load(engine, node)
         info = engine.cache_info()
         assert info.currsize <= 4
         assert info.evictions == 6
@@ -230,8 +235,7 @@ class TestGeometryCache:
     def test_hits_and_misses_counted(self):
         engine = DistanceEngine()
         node = make_node("a", {(1, 2), (3, 4)})
-        engine.coords_of(node)
-        engine.coords_of(node)
+        load(engine, node)
         info = engine.cache_info()
         assert info.misses == 1
         assert info.hits == 1
@@ -259,7 +263,7 @@ class TestGeometryCache:
 
     def test_clear_preserves_counters(self):
         engine = DistanceEngine()
-        engine.coords_of(make_node("a", {(1, 1)}))
+        load(engine, make_node("a", {(1, 1)}))
         engine.clear()
         info = engine.cache_info()
         assert info.currsize == 0
@@ -290,7 +294,7 @@ class TestGeometryCache:
 
     def test_stats_surface(self):
         engine = DistanceEngine(max_entries=16)
-        engine.coords_of(make_node("a", {(0, 0), (1, 1)}))
+        load(engine, make_node("a", {(0, 0), (1, 1)}))
         stats = distance_engine_stats(engine)
         assert stats["currsize"] == 1
         assert stats["maxsize"] == 16

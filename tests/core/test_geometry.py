@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,27 +105,11 @@ class TestBoundingBoxPredicates:
 
 
 class TestBoundingBoxOperations:
-    def test_intersection(self):
-        result = BoundingBox(0, 0, 2, 2).intersection(BoundingBox(1, 1, 3, 3))
-        assert result is not None
-        assert result.as_tuple() == (1, 1, 2, 2)
-
-    def test_intersection_disjoint_is_none(self):
-        assert BoundingBox(0, 0, 1, 1).intersection(BoundingBox(5, 5, 6, 6)) is None
-
     def test_union(self):
         assert BoundingBox(0, 0, 1, 1).union(BoundingBox(2, 2, 3, 3)).as_tuple() == (0, 0, 3, 3)
 
     def test_expanded(self):
         assert BoundingBox(1, 1, 2, 2).expanded(1).as_tuple() == (0, 0, 3, 3)
-
-    def test_min_distance_between_disjoint_boxes(self):
-        a = BoundingBox(0, 0, 1, 1)
-        b = BoundingBox(4, 5, 6, 7)
-        assert a.min_distance_to(b) == pytest.approx(math.hypot(3, 4))
-
-    def test_min_distance_zero_when_intersecting(self):
-        assert BoundingBox(0, 0, 2, 2).min_distance_to(BoundingBox(1, 1, 3, 3)) == 0.0
 
     def test_min_distance_to_point(self):
         box = BoundingBox(0, 0, 1, 1)
@@ -149,17 +131,70 @@ class TestBoundingBoxProperties:
         assert union.contains_box(a)
         assert union.contains_box(b)
 
+    @given(finite, finite, finite, finite, finite, finite)
+    def test_zero_point_distance_iff_contained(self, x1, y1, x2, y2, px, py):
+        box = BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        point = Point(px, py)
+        assert (box.min_distance_to_point(point) == 0.0) == box.contains_point(point)
+
     @given(finite, finite, finite, finite, finite, finite, finite, finite)
-    def test_min_distance_symmetry(self, ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
+    def test_intersects_is_symmetric(self, ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
         a = BoundingBox(min(ax1, ax2), min(ay1, ay2), max(ax1, ax2), max(ay1, ay2))
         b = BoundingBox(min(bx1, bx2), min(by1, by2), max(bx1, bx2), max(by1, by2))
-        assert a.min_distance_to(b) == pytest.approx(b.min_distance_to(a))
+        assert a.intersects(b) == b.intersects(a)
 
-    @given(finite, finite, finite, finite)
-    def test_intersection_within_both(self, x1, y1, x2, y2):
-        a = BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-        b = BoundingBox(min(x1, x2) - 1, min(y1, y2) - 1, max(x1, x2) + 1, max(y1, y2) + 1)
-        inter = a.intersection(b)
-        assert inter is not None
-        assert b.contains_box(inter)
-        assert a.contains_box(inter)
+    @given(finite, finite, finite, finite, finite, finite, finite, finite)
+    def test_enlargement_is_non_negative_and_zero_when_contained(
+        self, ax1, ay1, ax2, ay2, bx1, by1, bx2, by2
+    ):
+        a = BoundingBox(min(ax1, ax2), min(ay1, ay2), max(ax1, ax2), max(ay1, ay2))
+        b = BoundingBox(min(bx1, bx2), min(by1, by2), max(bx1, bx2), max(by1, by2))
+        assert a.enlargement(b) >= 0.0
+        assert a.union(b).enlargement(b) == 0.0
+
+    @given(finite, finite, finite, finite, st.floats(min_value=0, max_value=100))
+    def test_expanded_contains_the_original(self, x1, y1, x2, y2, margin):
+        box = BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        assert box.expanded(margin).contains_box(box)
+
+
+class TestMinDistanceToPointRegions:
+    """The point-to-box distance in each of the regions around a box.
+
+    R-tree and DITS pruning rely on this distance being exact outside the
+    box: along an axis in the side regions, Euclidean in the corner regions.
+    """
+
+    BOX = BoundingBox(0, 0, 2, 1)
+
+    @pytest.mark.parametrize(
+        ("x", "y", "expected"),
+        [
+            (1.0, 0.5, 0.0),
+            (2.0, 1.0, 0.0),
+            (0.0, 0.3, 0.0),
+            (-3.0, 0.5, 3.0),
+            (5.0, 0.5, 3.0),
+            (1.0, -2.0, 2.0),
+            (1.0, 4.0, 3.0),
+            (-3.0, -4.0, 5.0),
+            (5.0, 5.0, 5.0),
+            (-1.0, 2.0, 2**0.5),
+            (2.5, -1.0, (0.5**2 + 1.0) ** 0.5),
+        ],
+        ids=[
+            "inside",
+            "on-corner",
+            "on-edge",
+            "left",
+            "right",
+            "below",
+            "above",
+            "lower-left",
+            "upper-right",
+            "upper-left",
+            "lower-right",
+        ],
+    )
+    def test_region(self, x, y, expected):
+        assert self.BOX.min_distance_to_point(Point(x, y)) == pytest.approx(expected)

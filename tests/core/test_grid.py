@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -69,11 +67,6 @@ class TestCellGeometry:
         for cell in [0, 17, 321, grid.total_cells - 1]:
             assert grid.cell_id_of(grid.cell_center(cell)) == cell
 
-    def test_cell_box_contains_center(self):
-        grid = Grid(theta=5)
-        for cell in [0, 3, 100]:
-            assert grid.cell_box(cell).contains_point(grid.cell_center(cell))
-
     def test_invalid_cell_rejected(self):
         grid = Grid(theta=2)
         with pytest.raises(InvalidParameterError):
@@ -86,40 +79,6 @@ class TestCellGeometry:
         with pytest.raises(InvalidParameterError):
             grid.cell_id_from_coords(4, 0)
 
-    def test_cell_grid_distance(self):
-        grid = Grid(theta=3)
-        origin = grid.cell_id_from_coords(0, 0)
-        right = grid.cell_id_from_coords(1, 0)
-        diagonal = grid.cell_id_from_coords(1, 1)
-        assert grid.cell_grid_distance(origin, right) == pytest.approx(1.0)
-        assert grid.cell_grid_distance(origin, diagonal) == pytest.approx(math.sqrt(2))
-
-
-class TestRegionQueries:
-    def test_cells_in_box_counts(self):
-        grid = Grid(theta=3, space=BoundingBox(0, 0, 8, 8))
-        cells = grid.cells_in_box(BoundingBox(0.5, 0.5, 2.5, 1.5))
-        assert len(cells) == 3 * 2
-
-    def test_cells_in_box_outside_space(self):
-        grid = Grid(theta=3, space=BoundingBox(0, 0, 8, 8))
-        assert grid.cells_in_box(BoundingBox(20, 20, 30, 30)) == []
-
-    def test_neighbours_interior(self):
-        grid = Grid(theta=3)
-        cell = grid.cell_id_from_coords(3, 3)
-        assert len(grid.neighbours_of(cell)) == 8
-
-    def test_neighbours_corner(self):
-        grid = Grid(theta=3)
-        cell = grid.cell_id_from_coords(0, 0)
-        assert len(grid.neighbours_of(cell)) == 3
-
-    def test_neighbours_invalid_radius(self):
-        grid = Grid(theta=3)
-        with pytest.raises(InvalidParameterError):
-            grid.neighbours_of(0, radius=-1)
-
 
 class TestRescaling:
     def test_rescale_between_resolutions(self):
@@ -128,16 +87,17 @@ class TestRescaling:
         point = Point(12.3, 45.6)
         fine_cell = fine.cell_id_of(point)
         coarse_cell = coarse.cell_id_of(point)
-        assert fine.rescale_cell(fine_cell, coarse) == coarse_cell
+        cells = np.array([fine_cell], dtype=np.int64)
+        assert fine.rescale_cells_batch(cells, coarse).tolist() == [coarse_cell]
 
     def test_rescale_identity(self):
         grid = Grid(theta=5)
-        for cell in [0, 7, 100]:
-            assert grid.rescale_cell(cell, grid) == cell
         cells = np.array([0, 7, 100], dtype=np.int64)
         assert grid.rescale_cells_batch(cells, grid) is cells
 
-    @pytest.mark.parametrize("thetas", [(12, 10), (10, 12), (12, 13)])
+    @pytest.mark.parametrize(
+        "thetas", [(12, 10), (10, 12), (12, 13), (14, 9), (9, 14), (6, 12), (12, 6)]
+    )
     def test_batch_rescale_equals_per_cell_reference(self, thetas):
         center, source = (Grid(theta=theta) for theta in thetas)
         rng = np.random.default_rng(sum(thetas))
@@ -146,10 +106,44 @@ class TestRescaling:
         ys = rng.uniform(region.min_y, region.max_y, 400)
         for grid, target in ((center, source), (source, center)):
             cells = grid.cell_ids_of_batch(np.column_stack([xs, ys]))
-            expected = sorted({grid.rescale_cell(int(cell), target) for cell in cells})
+            expected = sorted({target.cell_id_of(grid.cell_center(int(cell))) for cell in cells})
             batch = grid.rescale_cells_batch(cells, target)
             assert batch.dtype == np.int64
             assert batch.tolist() == expected
+
+
+    @pytest.mark.parametrize("levels", [1, 2, 4])
+    def test_coarsening_keeps_the_parent_cell(self, levels):
+        # Grids over one space nest: a cell's centre lies in the coarse cell
+        # whose coordinates are its own shifted right by the level gap.
+        fine = Grid(theta=10)
+        coarse = Grid(theta=10 - levels)
+        rng = np.random.default_rng(levels)
+        cells = np.unique(rng.integers(0, fine.total_cells, 300, dtype=np.int64))
+        cols, rows = fine.cells_to_coords_batch(cells)
+        expected = sorted(
+            {
+                coarse.cell_id_from_coords(int(col) >> levels, int(row) >> levels)
+                for col, row in zip(cols, rows)
+            }
+        )
+        assert fine.rescale_cells_batch(cells, coarse).tolist() == expected
+
+
+class TestCoordinateCodec:
+    @pytest.mark.parametrize("theta", [1, 2, 5, 8, 12, 16])
+    def test_corners_round_trip(self, theta):
+        grid = Grid(theta=theta)
+        last = grid.cells_per_side - 1
+        for col, row in ((0, 0), (last, 0), (0, last), (last, last)):
+            cell = grid.cell_id_from_coords(col, row)
+            assert 0 <= cell < grid.total_cells
+            assert grid.coords_of_cell(cell) == (col, row)
+        assert grid.cell_id_from_coords(last, last) == grid.total_cells - 1
+        with pytest.raises(InvalidParameterError):
+            grid.cell_id_from_coords(grid.cells_per_side, 0)
+        with pytest.raises(InvalidParameterError):
+            grid.cell_id_from_coords(0, -1)
 
 
 class TestGridProperties:
@@ -160,8 +154,10 @@ class TestGridProperties:
     )
     def test_point_maps_into_its_cell_box(self, theta, x, y):
         grid = Grid(theta=theta)
-        cell = grid.cell_id_of(Point(x, y))
-        box = grid.cell_box(cell)
+        col, row = grid.coords_of_cell(grid.cell_id_of(Point(x, y)))
+        min_x = grid.space.min_x + col * grid.cell_width
+        min_y = grid.space.min_y + row * grid.cell_height
+        box = BoundingBox(min_x, min_y, min_x + grid.cell_width, min_y + grid.cell_height)
         # Allow for boundary rounding: the point is inside or on the border.
         assert box.expanded(1e-9).contains_point(Point(x, y))
 

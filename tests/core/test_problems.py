@@ -20,7 +20,6 @@ from repro.core.problems import (
     brute_force_coverage,
     brute_force_overlap,
     coverage_of,
-    marginal_gain,
     overlap_of,
 )
 
@@ -45,12 +44,6 @@ class TestScoring:
         assert coverage_of(q, [d1]) == 2
         assert coverage_of(q, [d1, d2]) == 3
 
-    def test_marginal_gain(self):
-        d = node("d", {(0, 0), (1, 1), (2, 2)})
-        assert marginal_gain(d, set()) == 3
-        assert marginal_gain(d, set(d.cells)) == 0
-        assert marginal_gain(d, {next(iter(d.cells))}) == 2
-
 
 class TestQueryValidation:
     def test_overlap_query_requires_positive_k(self):
@@ -73,13 +66,12 @@ class TestResultContainers:
         assert result.scores == [5.0, 2.0, 2.0]
         assert len(result) == 3
 
-    def test_coverage_result_gain(self):
+    def test_coverage_result_container(self):
         result = CoverageResult(
             entries=(ScoredDataset("a", 3.0), ScoredDataset("b", 2.0)),
             total_coverage=10,
             query_coverage=5,
         )
-        assert result.gain_over_query == 5
         assert result.dataset_ids == ["a", "b"]
         assert len(list(result)) == 2
 

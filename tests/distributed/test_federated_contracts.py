@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import DatasetNode
+from repro.core.dataset import DatasetNode, SpatialDataset
+from repro.core.errors import EmptyDatasetError
 from repro.core.grid import Grid
 from repro.distributed.framework import MultiSourceFramework
 from repro.index.dits import DITSLocalIndex
@@ -188,3 +189,46 @@ def test_federated_cjsp_follows_a_chain_through_another_source():
         single.dataset_ids,
         single.total_coverage,
     )
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+def test_federated_ojsp_scores_a_coarser_source_on_the_center_grid():
+    """Reproducer 1c: a source indexing at θ 10 under a θ 12 center.
+
+    A dataset overlaps itself on every one of its cells, counted on the
+    center's grid: a source at the center's θ or coarser can score that
+    exactly.  The θ 10 source scores in its own, larger cells instead, so the
+    self-overlap reads 3 where the query covers 9 center cells.
+    """
+    track = SpatialDataset.from_coordinates(
+        "track", [(-77.0 + 0.05 * i, 38.9) for i in range(15)]
+    )
+    framework = MultiSourceFramework(theta=12)
+    framework.add_source("coarse", [track], theta=10)
+    query = framework.query_from_dataset(track)
+    try:
+        federated = framework.overlap_search(query, k=1)
+    finally:
+        framework.close()
+    assert [(e.dataset_id, e.score) for e in federated] == [("track", float(query.coverage))]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+def test_removing_a_sources_last_dataset_unroutes_the_source():
+    """Reproducer 1d: emptying a source must leave the center consistent.
+
+    Removing S1's only dataset raises ``EmptyDatasetError`` today, and S1
+    stays in the global index, routable, with no data behind it.
+    """
+    framework = federate({"S1": [row("d", 10, 12)], "S2": [row("e", 20, 22)]})
+    try:
+        try:
+            framework.remove_dataset("S1", "d")
+            raised = None
+        except EmptyDatasetError as exc:
+            raised = exc
+        routable = [s.source_id for s in framework.center.global_index.all_summaries()]
+    finally:
+        framework.close()
+    assert raised is None
+    assert routable == ["S2"]

@@ -173,7 +173,7 @@ class TestMixedResolutionSources:
         assert "coarse" in sources_seen
 
     #: CJSP answers (source, dataset, marginal gain), total coverage and channel
-    #: bytes recorded from the per-cell ``rescale_cell`` translation; the batch
+    #: bytes recorded from the former per-cell translation; the batch
     #: translation must reproduce them exactly.
     RECORDED_COVERAGE = {
         (12, 10): (

@@ -143,16 +143,6 @@ class TestRTree:
         with pytest.raises(DatasetNotFoundError):
             index.delete("ds-3")
 
-    def test_within_distance(self):
-        a = node("a", {(0, 0)})
-        b = node("b", {(50, 0)})
-        index = RTreeIndex()
-        index.build([a, b])
-        near = {n.dataset_id for n in index.within_distance(BoundingBox(10, 0, 11, 1), 5.0)}
-        assert near == set()
-        near = {n.dataset_id for n in index.within_distance(BoundingBox(10, 0, 11, 1), 15.0)}
-        assert near == {"a"}
-
     def test_update_changes_node(self):
         nodes = random_nodes(6, seed=8)
         index = RTreeIndex(max_entries=4)
@@ -163,16 +153,28 @@ class TestRTree:
         assert "ds-2" in found
 
 
-class TestSTS3:
-    def test_posting_lists(self):
-        a = node("a", {(0, 0), (1, 1)})
-        b = node("b", {(1, 1)})
-        index = STS3Index()
-        index.build([a, b])
-        shared_cell = GRID.cell_id_from_coords(1, 1)
-        assert index.posting_list(shared_cell) == {"a", "b"}
-        assert index.posting_list(GRID.cell_id_from_coords(99, 99)) == set()
+    @pytest.mark.parametrize("bulk_load", [False, True], ids=["guttman", "str"])
+    @pytest.mark.parametrize("max_entries", [2, 4, 8])
+    def test_intersecting_equals_a_linear_scan_after_churn(self, max_entries, bulk_load):
+        nodes = random_nodes(60, seed=max_entries)
+        index = RTreeIndex(max_entries=max_entries, bulk_load=bulk_load)
+        index.build(nodes[:40])
+        for extra in nodes[40:]:
+            index.insert(extra)
+        for victim in nodes[::7]:
+            index.delete(victim.dataset_id)
+        live = {n.dataset_id: n for n in nodes if n not in nodes[::7]}
+        rng = np.random.default_rng(max_entries + bulk_load)
+        for _ in range(25):
+            x, y = (float(v) for v in rng.uniform(0, 240, 2))
+            w, h = (float(v) for v in rng.uniform(0, 60, 2))
+            window = BoundingBox(x, y, x + w, y + h)
+            found = [n.dataset_id for n in index.intersecting(window)]
+            assert len(found) == len(set(found))
+            assert set(found) == {i for i, n in live.items() if n.rect.intersects(window)}
 
+
+class TestSTS3:
     def test_overlap_counts(self):
         a = node("a", {(0, 0), (1, 1), (2, 2)})
         b = node("b", {(1, 1), (9, 9)})
@@ -203,13 +205,31 @@ class TestSTS3:
         assert index.posting_count() == 3
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overlap_counts_equal_set_intersections_after_churn(self, seed):
+        nodes = random_nodes(30, seed=seed)
+        index = STS3Index()
+        index.build(nodes[:20])
+        for extra in nodes[20:]:
+            index.insert(extra)
+        for victim in nodes[::4]:
+            index.delete(victim.dataset_id)
+        live = [n for n in nodes if n not in nodes[::4]]
+        assert index.posting_count() == sum(len(n.cells) for n in live)
+        assert index.distinct_cells() == len(set().union(*(n.cells for n in live)))
+        for query in nodes[:10]:
+            expected = {n.dataset_id: len(query.cells & n.cells) for n in live}
+            expected = {i: c for i, c in expected.items() if c}
+            assert dict(index.overlap_counts(query.cells)) == expected
+
+
 class TestJosie:
     def test_postings_sorted_by_size(self):
         small = node("small", {(0, 0)})
         big = node("big", {(0, 0), (1, 1), (2, 2)})
         index = JosieIndex()
         index.build([big, small])
-        postings = index.posting_list(GRID.cell_id_from_coords(0, 0))
+        postings = index._postings[GRID.cell_id_from_coords(0, 0)]
         assert [p.dataset_id for p in postings] == ["small", "big"]
         assert postings[1].size == 3
 

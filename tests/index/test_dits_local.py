@@ -192,14 +192,6 @@ class TestLookups:
         index.build(nodes)
         assert index.dataset_ids() == sorted(n.dataset_id for n in nodes)
 
-    def test_visit_can_prune(self):
-        nodes = random_nodes(20, seed=13)
-        index = DITSLocalIndex(leaf_capacity=3)
-        index.build(nodes)
-        visited = []
-        index.visit(lambda tree_node: (visited.append(tree_node), False)[1])
-        assert len(visited) == 1  # pruned immediately after the root
-
 
 class TestMaintenance:
     def test_insert_into_empty_index(self):

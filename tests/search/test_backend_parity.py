@@ -20,7 +20,7 @@ from repro.index.dits import DITSLocalIndex
 from repro.search.coverage import CoverageSearch, GreedyCover
 from repro.search.overlap import OverlapSearch
 
-from set_oracle import SetGreedyCover, set_arithmetic, set_overlap_with
+from set_oracle import SetGreedyCover, set_arithmetic
 
 GRID = Grid(theta=8, space=BoundingBox(0, 0, 256, 256))
 
@@ -109,26 +109,10 @@ class TestCoverageParity:
         assert vector == reference
 
 
-class TestNodeOverlapParity:
-    def test_overlap_with_matches_across_backends(self):
-        nodes = random_federation(20, seed=5)
-        vector = [
-            [a.overlap_with(b) for b in nodes] for a in nodes[:5]
-        ]
-        with set_arithmetic():
-            reference = [
-                [a.overlap_with(b) for b in nodes] for a in nodes[:5]
-            ]
-        assert vector == reference
-        # And both equal the raw frozenset intersection.
-        assert vector[0] == [len(nodes[0].cells & b.cells) for b in nodes]
-
-
 class TestOracleSwap:
     def test_set_arithmetic_swaps_in_and_restores(self):
-        product = (GreedyCover.__init__, GreedyCover.pick, DatasetNode.overlap_with)
+        product = (GreedyCover.__init__, GreedyCover.pick)
         with set_arithmetic():
             assert GreedyCover.pick is SetGreedyCover.pick
             assert GreedyCover.__init__ is SetGreedyCover.__init__
-            assert DatasetNode.overlap_with is set_overlap_with
-        assert (GreedyCover.__init__, GreedyCover.pick, DatasetNode.overlap_with) == product
+        assert (GreedyCover.__init__, GreedyCover.pick) == product

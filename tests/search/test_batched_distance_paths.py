@@ -157,15 +157,25 @@ class TestConnectivityGraphParity:
     @pytest.mark.parametrize("delta", [0.0, 2.0, 7.5, 40.0])
     def test_adjacency_matches_pairwise_predicate(self, fresh_engine, delta):
         nodes = random_nodes(35, seed=4)
+        edges = {
+            frozenset((node_a.dataset_id, node_b.dataset_id))
+            for i, node_a in enumerate(nodes)
+            for node_b in nodes[i + 1 :]
+            if cell_set_distance(node_a.cells, node_b.cells) <= delta
+        }
+
+        def touching(node, others):
+            return {
+                o.dataset_id for o in others if frozenset((node.dataset_id, o.dataset_id)) in edges
+            }
+
         graph = ConnectivityGraph(delta)
+        for i, node in enumerate(nodes):
+            # add_node's batched frontier: the earlier nodes it touches.
+            assert graph.add_node(node) == touching(node, nodes[:i])
         for node in nodes:
-            graph.add_node(node)
-        adjacency = graph.adjacency()
-        for i, node_a in enumerate(nodes):
-            for node_b in nodes[i + 1 :]:
-                expected = cell_set_distance(node_a.cells, node_b.cells) <= delta
-                assert (node_b.dataset_id in adjacency[node_a.dataset_id]) == expected
-                assert (node_a.dataset_id in adjacency[node_b.dataset_id]) == expected
+            # Re-adding a node returns its whole adjacency list, later nodes included.
+            assert graph.add_node(node) == touching(node, nodes)
 
     def test_components_match_union_find_over_pairwise_edges(self, fresh_engine):
         delta = 5.0

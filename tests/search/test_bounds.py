@@ -10,7 +10,7 @@ from repro.core.dataset import DatasetNode
 from repro.core.geometry import BoundingBox
 from repro.core.grid import Grid
 from repro.index.dits import LeafNode
-from repro.search.bounds import leaf_intersection_bounds, leaf_lower_bound, leaf_upper_bound
+from repro.search.bounds import leaf_intersection_bounds
 
 GRID = Grid(theta=6, space=BoundingBox(0, 0, 64, 64))
 
@@ -22,6 +22,14 @@ def node(name: str, cells: set[int]) -> DatasetNode:
 def make_leaf(entries: list[DatasetNode]) -> LeafNode:
     rect = BoundingBox.union_of(entry.rect for entry in entries)
     return LeafNode(rect, entries, capacity=len(entries))
+
+
+def posting_bounds(leaf: LeafNode, query: set[int] | frozenset[int]) -> tuple[int, int]:
+    """``(lower, upper)`` read off the leaf's posting lists one query cell at a time."""
+    postings = [leaf.inverted.get(cell, {}) for cell in query]
+    upper = sum(1 for posting in postings if posting)
+    lower = sum(1 for posting in postings if len(posting) == len(leaf.entries))
+    return lower, upper
 
 
 class TestPaperExample:
@@ -42,11 +50,11 @@ class TestPaperExample:
 class TestBoundsSemantics:
     def test_upper_counts_query_cells_in_any_posting(self):
         leaf = make_leaf([node("a", {1, 2}), node("b", {2, 3})])
-        assert leaf_upper_bound(leaf, {1, 2, 3, 4}) == 3
+        assert leaf_intersection_bounds(leaf, {1, 2, 3, 4})[1] == 3
 
     def test_lower_counts_cells_shared_by_all_entries(self):
         leaf = make_leaf([node("a", {1, 2, 5}), node("b", {2, 3, 5})])
-        assert leaf_lower_bound(leaf, {1, 2, 3, 5}) == 2  # cells 2 and 5
+        assert leaf_intersection_bounds(leaf, {1, 2, 3, 5})[0] == 2  # cells 2 and 5
 
     def test_disjoint_query_gives_zero_bounds(self):
         leaf = make_leaf([node("a", {1, 2})])
@@ -57,12 +65,10 @@ class TestBoundsSemantics:
         lower, upper = leaf_intersection_bounds(leaf, {2, 3, 9})
         assert lower == upper == 2
 
-    def test_combined_matches_individual_helpers(self):
+    def test_bounds_match_the_posting_lists(self):
         leaf = make_leaf([node("a", {1, 2, 8}), node("b", {2, 8, 9})])
         query = frozenset({2, 8, 9, 30})
-        lower, upper = leaf_intersection_bounds(leaf, query)
-        assert lower == leaf_lower_bound(leaf, query)
-        assert upper == leaf_upper_bound(leaf, query)
+        assert leaf_intersection_bounds(leaf, query) == posting_bounds(leaf, query) == (2, 3)
 
 
 class TestBoundCorrectnessProperty:
@@ -75,6 +81,7 @@ class TestBoundCorrectnessProperty:
         leaf = make_leaf(entries)
         query = frozenset(query_cells)
         lower, upper = leaf_intersection_bounds(leaf, query)
+        assert (lower, upper) == posting_bounds(leaf, query)
         overlaps = [len(entry.cells & query) for entry in entries]
         # Lemma 2: no entry can overlap the query on more cells than UB.
         assert max(overlaps) <= upper

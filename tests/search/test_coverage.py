@@ -114,7 +114,9 @@ class TestCoverageSearchBasics:
         result = search.search_node(nodes[0], k=5, delta=15.0)
         assert all(entry.score > 0 for entry in result)
         # Gains must sum to the coverage added beyond the query.
-        assert sum(entry.score for entry in result) == result.gain_over_query
+        assert sum(entry.score for entry in result) == (
+            result.total_coverage - result.query_coverage
+        )
 
     def test_no_connected_candidates_returns_empty_selection(self):
         cluster = [node(f"c{i}", {(i, 0)}) for i in range(5)]

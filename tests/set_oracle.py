@@ -4,11 +4,9 @@ The product stores and computes on sorted ``int64`` cell vectors only.  This
 module keeps the pure-Python set arithmetic those vectors replaced, for the
 suites that require both to give bit-identical answers:
 
-* :class:`SetGreedyCover` — Algorithm 3's covered set and marginal gains as a
-  Python ``set``, a drop-in for :class:`~repro.search.coverage.GreedyCover`;
-* :func:`set_overlap_with` — ``overlap_with`` as a frozenset intersection.
-
-:func:`set_arithmetic` swaps both into the product for the duration of a
+:class:`SetGreedyCover` is Algorithm 3's covered set and marginal gains as a
+Python ``set``, a drop-in for :class:`~repro.search.coverage.GreedyCover`.
+:func:`set_arithmetic` swaps it into the product for the duration of a
 ``with`` block, so one search path runs once on each arithmetic;
 :func:`arithmetic` picks by the parity suites' ``"vector"`` / ``"frozenset"``
 parameter names.  Nothing under ``src/`` can select the oracle.
@@ -19,7 +17,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterable, Iterator
 
-from repro.core.dataset import CellSet, DatasetNode
+from repro.core.dataset import DatasetNode
 from repro.core.problems import CoverageResult, ScoredDataset
 from repro.search.coverage import CoverageSearchStats, GreedyCover
 
@@ -70,27 +68,17 @@ class SetGreedyCover:
         )
 
 
-def set_overlap_with(
-    self: "DatasetNode | CellSet", other: "DatasetNode | CellSet | Iterable[int]"
-) -> int:
-    """``overlap_with`` as a frozenset intersection."""
-    other_cells = other.cells if isinstance(other, (DatasetNode, CellSet)) else frozenset(other)
-    return len(self.cells & other_cells)
-
-
 _GREEDY_METHODS = ("__init__", "pick", "add", "result")
 
 
 @contextlib.contextmanager
 def set_arithmetic() -> Iterator[None]:
-    """Run the product's greedy loop and node overlaps on frozenset arithmetic.
+    """Run the product's greedy loop on frozenset arithmetic.
 
     ``GreedyCover`` takes :class:`SetGreedyCover`'s methods (every call site
-    shares the one class), and ``DatasetNode`` / ``CellSet`` take
-    :func:`set_overlap_with`.  Everything is restored on exit.
+    shares the one class).  Everything is restored on exit.
     """
     patches = [(GreedyCover, name, SetGreedyCover.__dict__[name]) for name in _GREEDY_METHODS]
-    patches += [(cls, "overlap_with", set_overlap_with) for cls in (DatasetNode, CellSet)]
     saved = [(owner, name, owner.__dict__[name]) for owner, name, _ in patches]
     try:
         for owner, name, replacement in patches:

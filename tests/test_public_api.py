@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO = Path(__file__).resolve().parents[1]
+PRODUCT = REPO / "src" / "repro"
+#: Besides the package itself, the trees whose references keep a public
+#: definition alive.  tests/ is not one of them.
+CALLERS = (REPO / "examples", REPO / "benchmarks")
+PUBLIC_API_MARKER = re.compile(r"#\s*public-api:\s*\S")
 
 PUBLIC_MODULES = [
     "repro",
@@ -102,3 +112,89 @@ class TestApiConventions:
         for name, cls in DATASET_INDEX_CLASSES.items():
             assert issubclass(cls, DatasetIndex)
             assert cls.name == name or cls.name in name or name in cls.name
+
+
+def _parsed(tree: Path) -> list[tuple[Path, str, ast.Module]]:
+    return [
+        (path, text, ast.parse(text, filename=str(path)))
+        for path in sorted(tree.rglob("*.py"))
+        for text in [path.read_text(encoding="utf-8")]
+    ]
+
+
+def _public_definitions(modules):
+    """``(path, qualname, first line, last line, marked)`` per public def, class and method."""
+    found = []
+    for path, text, module in modules:
+        lines = text.splitlines()
+        for node in module.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for definition, qualname in [(node, node.name)] + [
+                (member, f"{node.name}.{member.name}")
+                for member in members
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            ]:
+                if definition.name.startswith("_"):
+                    continue
+                marked = bool(PUBLIC_API_MARKER.search(lines[definition.lineno - 1]))
+                found.append((path, qualname, definition.lineno, definition.end_lineno, marked))
+    return found
+
+
+def _references(modules):
+    """Name -> ``(path, line)`` of every load of it as a name, an attribute or a dotted string.
+
+    Imports and ``__all__`` strings are not references: a re-export reaches
+    nothing.  A ``"repro.x.Y.z"`` string (the benchmark's traced-symbol
+    table) references each of its parts.
+    """
+    seen: dict[str, list[tuple[Path, int]]] = {}
+    for path, _, module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr]
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.startswith("repro.")
+            ):
+                names = node.value.split(".")
+            else:
+                continue
+            for name in names:
+                seen.setdefault(name, []).append((path, node.lineno))
+    return seen
+
+
+class TestDeadSurface:
+    """Product code that only tests reach is dead product code."""
+
+    def test_every_public_definition_is_reached_outside_tests(self):
+        product = _parsed(PRODUCT)
+        modules = product + [m for tree in CALLERS for m in _parsed(tree)]
+        definitions = _public_definitions(product)
+        references = _references(modules)
+        scanned = (len(modules), len(definitions))
+        assert scanned[0] > 50 and scanned[1] > 200, scanned  # the scan saw the tree
+
+        exempt = set(repro.__all__)
+        dead = [
+            f"{path.relative_to(REPO)}:{first} {qualname}"
+            for path, qualname, first, last, marked in definitions
+            if not marked
+            and qualname not in exempt
+            # A definition's references to itself (recursion) do not count.
+            and not any(
+                not (where == path and first <= line <= last)
+                for where, line in references.get(qualname.rpartition(".")[2], ())
+            )
+        ]
+        assert not dead, (
+            "public definitions that nothing in src/repro, examples/ or benchmarks/ "
+            "reaches (delete them, or mark the def line '# public-api: <reason>'):\n"
+            + "\n".join(dead)
+        )

@@ -58,27 +58,50 @@ class TestSizeKernels:
         b = cellsets.as_cell_array(right)
         set_a, set_b = set(left), set(right)
         assert cellsets.intersection_size(a, b) == len(set_a & set_b)
-        assert cellsets.union_size(a, b) == len(set_a | set_b)
         assert cellsets.difference_size(a, b) == len(set_a - set_b)
-        assert cellsets.contains_all(a, b) == set_b.issubset(set_a)
 
     @given(cell_lists, cell_lists)
     @settings(max_examples=100, deadline=None)
     def test_materializing_kernels_match_set_algebra(self, left, right):
         a = cellsets.as_cell_array(left)
         b = cellsets.as_cell_array(right)
-        set_a, set_b = set(left), set(right)
-        assert cellsets.intersect(a, b).tolist() == sorted(set_a & set_b)
-        assert cellsets.union(a, b).tolist() == sorted(set_a | set_b)
-        assert cellsets.difference(a, b).tolist() == sorted(set_a - set_b)
+        assert cellsets.union(a, b).tolist() == sorted(set(left) | set(right))
 
     def test_disjoint_and_identical(self):
         a = cellsets.as_cell_array([1, 2, 3])
         b = cellsets.as_cell_array([10, 20])
         assert cellsets.intersection_size(a, b) == 0
         assert cellsets.intersection_size(a, a) == 3
-        assert cellsets.union_size(a, a) == 3
         assert cellsets.difference_size(a, a) == 0
+
+
+#: Hand-picked shapes the random lists rarely hit: empty operands, nesting,
+#: interleaving and values beyond 32 bits.
+EDGE_CASES = {
+    "both-empty": ([], []),
+    "left-empty": ([], [1, 2]),
+    "right-empty": ([1, 2], []),
+    "identical": ([4, 8, 15], [4, 8, 15]),
+    "left-subset": ([2, 3], [1, 2, 3, 4]),
+    "left-superset": ([1, 2, 3, 4], [2, 3]),
+    "interleaved": ([1, 3, 5, 7], [2, 4, 6, 8]),
+    "disjoint-ranges": ([1, 2, 3], [10, 20]),
+    "one-shared-cell": ([1, 5, 9], [0, 5, 10]),
+    "beyond-32-bits": ([2**33, 2**40, 2**62], [2**40, 2**62 + 1]),
+}
+
+
+class TestSizeKernelEdgeCases:
+    @pytest.mark.parametrize(("left", "right"), EDGE_CASES.values(), ids=EDGE_CASES.keys())
+    def test_kernels_match_set_algebra(self, left, right):
+        a = cellsets.as_cell_array(left)
+        b = cellsets.as_cell_array(right)
+        set_a, set_b = set(left), set(right)
+        assert cellsets.intersection_size(a, b) == len(set_a & set_b)
+        assert cellsets.difference_size(a, b) == len(set_a - set_b)
+        merged = cellsets.union(a, b)
+        assert merged.dtype == np.int64
+        assert merged.tolist() == sorted(set_a | set_b)
 
 
 class TestBatchZorder:

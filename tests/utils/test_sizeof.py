@@ -1,4 +1,4 @@
-"""Tests for wire-size and deep-size estimation."""
+"""Tests for wire-size estimation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.distributed.messages import OverlapRequest
-from repro.utils.sizeof import deep_size_of, encoded_size
+from repro.utils.sizeof import encoded_size
 
 
 class TestEncodedSize:
@@ -75,23 +75,3 @@ class TestEncodedSize:
 
         assert encoded_size(Plain()) == encoded_size({"a": 1, "b": "zz"})
 
-
-class TestDeepSizeOf:
-    def test_nested_structures_count_children(self):
-        flat = [1, 2, 3]
-        nested = [[1, 2, 3], [4, 5, 6]]
-        assert deep_size_of(nested) > deep_size_of(flat)
-
-    def test_shared_objects_counted_once(self):
-        shared = list(range(100))
-        duplicated = [list(range(100)), list(range(100))]
-        aliased = [shared, shared]
-        assert deep_size_of(aliased) < deep_size_of(duplicated)
-
-    def test_handles_cycles(self):
-        a: list = []
-        a.append(a)
-        assert deep_size_of(a) > 0
-
-    def test_dict_counts_keys_and_values(self):
-        assert deep_size_of({"key": "value"}) > deep_size_of({})
