@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Benchmark entry point: run figure sweeps and emit a perf-trajectory JSON.
 
-Runs the same experiment drivers the pytest benchmarks wrap, measures the
-wall-clock of each sweep, and writes a ``BENCH_*.json`` file so successive
-PRs can record their performance trajectory::
+Runs the ``FIGURES`` table of ``benchmarks/conftest.py`` (the sweeps the
+pytest benchmarks run), measures the wall-clock of each sweep, and writes a
+``BENCH_*.json`` file so successive PRs can record their performance
+trajectory::
 
     PYTHONPATH=src python benchmarks/run_bench.py --json BENCH_PR1.json
     PYTHONPATH=src python benchmarks/run_bench.py --figures fig10,fig12 --json out.json
@@ -50,17 +51,8 @@ os.environ.setdefault(
     "REPRO_CORPUS_CACHE", str(Path(__file__).resolve().parent / ".cache")
 )
 
-from conftest import (  # noqa: E402  (path set up above)
-    BENCH_CONFIG,
-    DELTA_VALUES,
-    K_VALUES,
-    LEAF_CAPACITIES,
-    OJSP_CONFIG,
-    Q_VALUES,
-    THETA_VALUES,
-)
+from conftest import BENCH_CONFIG, FIGURES, OJSP_CONFIG, run_figure  # noqa: E402
 
-from repro.bench import experiments  # noqa: E402
 from repro.index.stats import distance_engine_stats  # noqa: E402
 
 #: Monotone distance-engine counters reported per figure as deltas.
@@ -74,83 +66,6 @@ _ENGINE_COUNTERS = (
     "pair_queries",
 )
 
-#: Figure name -> zero-argument callable running the sweep.
-SWEEPS = {
-    "fig8": lambda: experiments.fig8_index_construction(
-        thetas=THETA_VALUES, config=BENCH_CONFIG
-    ),
-    "fig9": lambda: experiments.fig9_overlap_vs_k(
-        k_values=K_VALUES, query_count=5, config=OJSP_CONFIG
-    ),
-    "fig10": lambda: experiments.fig10_overlap_vs_theta(
-        thetas=THETA_VALUES, k=5, query_count=5, config=OJSP_CONFIG
-    ),
-    "fig11": lambda: experiments.fig11_overlap_vs_q(
-        q_values=Q_VALUES, k=5, config=OJSP_CONFIG
-    ),
-    "fig12": lambda: experiments.fig12_overlap_vs_leaf_capacity(
-        capacities=LEAF_CAPACITIES, k=5, query_count=5, config=OJSP_CONFIG
-    ),
-    "fig13": lambda: experiments.fig13_14_overlap_communication(
-        q_values=Q_VALUES, k=5, config=BENCH_CONFIG
-    ),
-    "fig15": lambda: experiments.fig15_coverage_vs_k(
-        k_values=K_VALUES, query_count=3, config=BENCH_CONFIG
-    ),
-    "fig16": lambda: experiments.fig16_coverage_vs_theta(
-        thetas=THETA_VALUES, query_count=3, config=BENCH_CONFIG
-    ),
-    "fig17": lambda: experiments.fig17_coverage_vs_q(
-        q_values=Q_VALUES, config=BENCH_CONFIG
-    ),
-    "fig18": lambda: experiments.fig18_coverage_vs_delta(
-        delta_values=DELTA_VALUES, query_count=3, config=BENCH_CONFIG
-    ),
-    "fig19": lambda: experiments.fig19_20_coverage_communication(
-        q_values=Q_VALUES, k=5, config=BENCH_CONFIG
-    ),
-    "fig23": lambda: experiments.fig23_global_index_churn(**_fig23_kwargs()),
-    "fig24": lambda: experiments.fig24_local_index_churn(**_fig24_kwargs()),
-}
-
-
-def _fig23_kwargs() -> dict:
-    """Scale the DITS-G churn sweep via ``REPRO_BENCH_CHURN_SCALE``.
-
-    fig23 synthesises source summaries directly (no corpora), so the corpus
-    scale knobs do not apply; this factor shrinks the federation sizes and
-    churn length instead (CI's fast lane uses 0.1).
-    """
-    factor = float(os.environ.get("REPRO_BENCH_CHURN_SCALE", "1.0"))
-    if factor >= 1.0:
-        return {}
-    return {
-        "source_counts": tuple(
-            max(50, int(count * factor)) for count in (250, 1000, 2000)
-        ),
-        "churn_ops": max(20, int(200 * factor)),
-        "query_count": max(10, int(50 * factor)),
-    }
-
-
-def _fig24_kwargs() -> dict:
-    """Scale the DITS-L churn sweep via ``REPRO_BENCH_CHURN_SCALE``.
-
-    Like fig23, fig24 synthesises its corpus directly; the factor shrinks
-    the corpus sizes and the mutation-stream length for CI's fast lane.
-    """
-    factor = float(os.environ.get("REPRO_BENCH_CHURN_SCALE", "1.0"))
-    if factor >= 1.0:
-        return {}
-    return {
-        "dataset_counts": tuple(
-            max(200, int(count * factor)) for count in (1000, 5000, 10000)
-        ),
-        "churn_ops": max(100, int(1000 * factor)),
-        "query_count": max(5, int(12 * factor)),
-    }
-
-
 DEFAULT_FIGURES = (
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig15", "fig19", "fig23", "fig24"
 )
@@ -161,11 +76,10 @@ def run(figures: list[str], include_rows: bool, baseline: dict | None = None) ->
     baseline_figures = (baseline or {}).get("figures", {})
     results: dict[str, dict] = {}
     for name in figures:
-        sweep = SWEEPS[name]
         print(f"[run_bench] {name} ...", flush=True)
         engine_before = distance_engine_stats()
         start = time.perf_counter()
-        rows = sweep()
+        rows = run_figure(name)
         wall_s = time.perf_counter() - start
         engine_after = distance_engine_stats()
         entry: dict = {"wall_s": round(wall_s, 3)}
@@ -215,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         default=",".join(DEFAULT_FIGURES),
         help=(
             "comma-separated figure sweeps to run, or 'all' "
-            f"(known: {', '.join(sorted(SWEEPS))}; default: {','.join(DEFAULT_FIGURES)})"
+            f"(known: {', '.join(FIGURES)}; default: {','.join(DEFAULT_FIGURES)})"
         ),
     )
     parser.add_argument(
@@ -235,12 +149,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.figures.strip().lower() == "all":
-        figures = sorted(SWEEPS)
+        figures = list(FIGURES)
     else:
         figures = [name.strip() for name in args.figures.split(",") if name.strip()]
-    unknown = [name for name in figures if name not in SWEEPS]
+    unknown = [name for name in figures if name not in FIGURES]
     if unknown:
-        parser.error(f"unknown figures: {', '.join(unknown)} (known: {', '.join(sorted(SWEEPS))})")
+        parser.error(f"unknown figures: {', '.join(unknown)} (known: {', '.join(FIGURES)})")
 
     baseline = None
     if args.baseline_json:

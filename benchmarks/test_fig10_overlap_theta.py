@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import OJSP_CONFIG, timings_by_method
+from conftest import run_figure, timings_by_method
 
-from repro.bench.experiments import fig10_overlap_vs_theta
 from repro.bench.reporting import format_table
-
-#: theta=14 QuadTree construction dominates the whole suite's runtime, so the
-#: sweep stops at 13; pass the paper's full range explicitly to go further.
-THETAS = (10, 11, 12, 13)
 
 
 def test_fig10_sweep(benchmark):
     """Regenerate Fig. 10 and assert the resolution trend and the winner."""
     rows = benchmark.pedantic(
-        fig10_overlap_vs_theta,
-        kwargs={"thetas": THETAS, "k": 5, "query_count": 5, "config": OJSP_CONFIG},
+        run_figure,
+        args=("fig10",),
         rounds=1,
         iterations=1,
     )

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import OJSP_CONFIG, Q_VALUES, timings_by_method
+from conftest import run_figure, timings_by_method
 
-from repro.bench.experiments import fig11_overlap_vs_q
 from repro.bench.reporting import format_table
 
 
 def test_fig11_sweep(benchmark):
     """Regenerate Fig. 11: time grows with q, OverlapSearch leads the filter-verify methods."""
     rows = benchmark.pedantic(
-        fig11_overlap_vs_q,
-        kwargs={"q_values": Q_VALUES, "k": 5, "config": OJSP_CONFIG},
+        run_figure,
+        args=("fig11",),
         rounds=1,
         iterations=1,
     )

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import LEAF_CAPACITIES, OJSP_CONFIG, timings_by_method
+from conftest import FIGURES, run_figure, timings_by_method
 
-from repro.bench.experiments import fig12_overlap_vs_leaf_capacity
 from repro.bench.reporting import format_table
 
 
 def test_fig12_sweep(benchmark):
     """Regenerate Fig. 12: OverlapSearch beats the R-tree across leaf capacities."""
     rows = benchmark.pedantic(
-        fig12_overlap_vs_leaf_capacity,
-        kwargs={"capacities": LEAF_CAPACITIES, "k": 5, "query_count": 5, "config": OJSP_CONFIG},
+        run_figure,
+        args=("fig12",),
         rounds=1,
         iterations=1,
     )
@@ -25,6 +24,6 @@ def test_fig12_sweep(benchmark):
 
     # OverlapSearch must remain competitive at every single capacity, not
     # just in aggregate (the paper: a slight increase with f, still winning).
-    for capacity in LEAF_CAPACITIES:
+    for capacity in FIGURES["fig12"].kwargs["values"]:
         at_capacity = {row["method"]: row["time_ms"] for row in rows if row["f"] == capacity}
         assert at_capacity["OverlapSearch"] <= at_capacity["Rtree"] * 1.3, capacity

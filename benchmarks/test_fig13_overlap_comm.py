@@ -2,24 +2,23 @@
 
 from __future__ import annotations
 
-from conftest import BENCH_CONFIG, Q_VALUES
+from conftest import FIGURES, run_figure
 
-from repro.bench.experiments import fig13_14_overlap_communication
 from repro.bench.reporting import format_table
 
 
 def test_fig13_fig14_sweep(benchmark):
     """Regenerate Figs. 13-14: the DITS distribution strategy ships fewer bytes."""
     rows = benchmark.pedantic(
-        fig13_14_overlap_communication,
-        kwargs={"q_values": Q_VALUES, "k": 5, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig13",),
         rounds=1,
         iterations=1,
     )
     print()
     print(format_table(rows, title="Figs. 13-14: OJSP communication bytes and transmission time vs q"))
 
-    for q in Q_VALUES:
+    for q in FIGURES["fig13"].kwargs["q_values"]:
         at_q = {row["method"]: row for row in rows if row["q"] == q}
         optimised = at_q["OverlapSearch"]
         broadcast = at_q["Broadcast"]

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from conftest import BENCH_CONFIG, K_VALUES, timings_by_method
+from conftest import run_figure, timings_by_method
 
-from repro.bench.experiments import COVERAGE_METHODS, _coverage_methods, fig15_coverage_vs_k
+from repro.bench.experiments import COVERAGE_METHODS, _build_methods
 from repro.bench.harness import Workbench
 from repro.bench.reporting import format_table
 from repro.core.problems import CoverageQuery
@@ -14,8 +14,8 @@ from repro.core.problems import CoverageQuery
 def test_fig15_sweep(benchmark):
     """Regenerate Fig. 15 and assert the paper's method ordering."""
     rows = benchmark.pedantic(
-        fig15_coverage_vs_k,
-        kwargs={"k_values": K_VALUES, "delta": 10.0, "query_count": 3, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig15",),
         rounds=1,
         iterations=1,
     )
@@ -31,7 +31,7 @@ def test_fig15_sweep(benchmark):
 
 @pytest.fixture(scope="module")
 def coverage_methods(workbench: Workbench):
-    return _coverage_methods(workbench), workbench.query_nodes(2)
+    return _build_methods(workbench, COVERAGE_METHODS), workbench.query_nodes(2)
 
 
 @pytest.mark.parametrize("method_name", COVERAGE_METHODS)

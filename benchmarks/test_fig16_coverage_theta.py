@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import BENCH_CONFIG, timings_by_method
+from conftest import run_figure, timings_by_method
 
-from repro.bench.experiments import fig16_coverage_vs_theta
 from repro.bench.reporting import format_table
-
-#: A slightly narrower sweep than Fig. 8/10: the SG baseline at theta=14 over
-#: worldwide sources is the single most expensive configuration.
-THETAS = (10, 11, 12, 13)
 
 
 def test_fig16_sweep(benchmark):
     """Regenerate Fig. 16: all methods slow down with theta, CoverageSearch wins."""
     rows = benchmark.pedantic(
-        fig16_coverage_vs_theta,
-        kwargs={"thetas": THETAS, "k": 5, "delta": 10.0, "query_count": 3, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig16",),
         rounds=1,
         iterations=1,
     )

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import BENCH_CONFIG, timings_by_method
+from conftest import run_figure, timings_by_method
 
-from repro.bench.experiments import fig17_coverage_vs_q
 from repro.bench.reporting import format_table
-
-Q_VALUES = (2, 4, 6)
 
 
 def test_fig17_sweep(benchmark):
     """Regenerate Fig. 17: workload time grows with q, CoverageSearch stays fastest."""
     rows = benchmark.pedantic(
-        fig17_coverage_vs_q,
-        kwargs={"q_values": Q_VALUES, "k": 5, "delta": 10.0, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig17",),
         rounds=1,
         iterations=1,
     )

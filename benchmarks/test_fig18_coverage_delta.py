@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import BENCH_CONFIG, DELTA_VALUES, timings_by_method
+from conftest import run_figure, timings_by_method
 
-from repro.bench.experiments import fig18_coverage_vs_delta
 from repro.bench.reporting import format_table
 
 
 def test_fig18_sweep(benchmark):
     """Regenerate Fig. 18: more candidates per round as delta grows, CoverageSearch wins."""
     rows = benchmark.pedantic(
-        fig18_coverage_vs_delta,
-        kwargs={"delta_values": DELTA_VALUES, "k": 5, "query_count": 3, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig18",),
         rounds=1,
         iterations=1,
     )

@@ -2,26 +2,23 @@
 
 from __future__ import annotations
 
-from conftest import BENCH_CONFIG
+from conftest import FIGURES, run_figure
 
-from repro.bench.experiments import fig19_20_coverage_communication
 from repro.bench.reporting import format_table
-
-Q_VALUES = (2, 4, 6)
 
 
 def test_fig19_fig20_sweep(benchmark):
     """Regenerate Figs. 19-20: the DITS distribution strategy ships fewer bytes."""
     rows = benchmark.pedantic(
-        fig19_20_coverage_communication,
-        kwargs={"q_values": Q_VALUES, "k": 5, "delta": 10.0, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig19",),
         rounds=1,
         iterations=1,
     )
     print()
     print(format_table(rows, title="Figs. 19-20: CJSP communication bytes and transmission time vs q"))
 
-    for q in Q_VALUES:
+    for q in FIGURES["fig19"].kwargs["q_values"]:
         at_q = {row["method"]: row for row in rows if row["q"] == q}
         assert at_q["CoverageSearch"]["bytes"] <= at_q["Broadcast"]["bytes"], q
         assert at_q["CoverageSearch"]["transmission_ms"] <= at_q["Broadcast"]["transmission_ms"], q

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from conftest import BENCH_CONFIG, UPDATE_BATCHES
+from conftest import FIGURES, run_figure
 
-from repro.bench.experiments import fig21_22_index_updates
 from repro.bench.harness import Workbench
 from repro.bench.reporting import format_table
 from repro.core.dataset import DatasetNode
@@ -15,15 +14,15 @@ from repro.index import DATASET_INDEX_CLASSES
 def test_fig21_fig22_sweep(benchmark):
     """Regenerate Figs. 21-22 and check the maintenance-cost ordering."""
     rows = benchmark.pedantic(
-        fig21_22_index_updates,
-        kwargs={"batch_sizes": UPDATE_BATCHES, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig21",),
         rounds=1,
         iterations=1,
     )
     print()
     print(format_table(rows, title="Figs. 21-22: batch insert / update time (ms)"))
 
-    largest = max(UPDATE_BATCHES)
+    largest = max(FIGURES["fig21"].kwargs["batch_sizes"])
     at_largest = {row["index"]: row for row in rows if row["batch"] == largest}
     # Paper: STS3 is the cheapest structure to maintain (hash upserts only);
     # DITS stays cheaper than the QuadTree, which re-inserts every cell.

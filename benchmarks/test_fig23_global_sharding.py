@@ -12,20 +12,19 @@ scale.
 
 from __future__ import annotations
 
-from conftest import BENCH_CONFIG  # noqa: F401  (kept for config parity with other sweeps)
+from conftest import FIGURES, run_figure
 
-from repro.bench.experiments import fig23_global_index_churn
 from repro.bench.reporting import format_table
 
-SOURCE_COUNTS = (250, 1000, 2000)
-SHARD_COUNTS = (4, 16)
+SOURCE_COUNTS = FIGURES["fig23"].kwargs["source_counts"]
+SHARD_COUNTS = FIGURES["fig23"].kwargs["shard_counts"]
 
 
 def test_fig23_sweep(benchmark):
     """Regenerate Fig. 23 and check parity plus the churn speedup."""
     rows = benchmark.pedantic(
-        fig23_global_index_churn,
-        kwargs={"source_counts": SOURCE_COUNTS, "shard_counts": SHARD_COUNTS},
+        run_figure,
+        args=("fig23",),
         rounds=1,
         iterations=1,
     )

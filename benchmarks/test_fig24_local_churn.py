@@ -18,13 +18,11 @@ per the acceptance criteria:
 
 from __future__ import annotations
 
-from conftest import BENCH_CONFIG  # noqa: F401  (kept for config parity with other sweeps)
+from conftest import FIGURES, run_figure
 
-from repro.bench.experiments import fig24_local_index_churn
 from repro.bench.reporting import format_table
 
-DATASET_COUNTS = (1000, 5000)
-CHURN_OPS = 1000
+DATASET_COUNTS = FIGURES["fig24"].kwargs["dataset_counts"]
 #: Latency criterion: churned-but-rebalanced within this factor of a fresh
 #: rebuild.  The absolute floor keeps a sub-ms workload from flaking on
 #: scheduler noise.
@@ -35,8 +33,8 @@ LATENCY_FLOOR_MS = 5.0
 def test_fig24_sweep(benchmark):
     """Regenerate Fig. 24 and check exactness, height and latency bounds."""
     rows = benchmark.pedantic(
-        fig24_local_index_churn,
-        kwargs={"dataset_counts": DATASET_COUNTS, "churn_ops": CHURN_OPS},
+        run_figure,
+        args=("fig24",),
         rounds=1,
         iterations=1,
     )

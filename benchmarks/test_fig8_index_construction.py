@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from conftest import BENCH_CONFIG, THETA_VALUES
+from conftest import run_figure
 
-from repro.bench.experiments import fig8_index_construction
 from repro.bench.harness import Workbench
 from repro.bench.reporting import format_table
 from repro.index import DATASET_INDEX_CLASSES
@@ -14,8 +13,8 @@ from repro.index import DATASET_INDEX_CLASSES
 def test_fig8_construction_sweep(benchmark):
     """Regenerate both panels of Fig. 8 and check the qualitative shape."""
     rows = benchmark.pedantic(
-        fig8_index_construction,
-        kwargs={"thetas": THETA_VALUES, "config": BENCH_CONFIG},
+        run_figure,
+        args=("fig8",),
         rounds=1,
         iterations=1,
     )

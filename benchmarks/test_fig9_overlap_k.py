@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from conftest import K_VALUES, OJSP_CONFIG, timings_by_method
+from conftest import run_figure, timings_by_method
 
-from repro.bench.experiments import OVERLAP_METHODS, fig9_overlap_vs_k, _overlap_methods
+from repro.bench.experiments import OVERLAP_METHODS, _build_methods
 from repro.bench.harness import Workbench
 from repro.bench.reporting import format_table
 from repro.core.problems import OverlapQuery
@@ -14,8 +14,8 @@ from repro.core.problems import OverlapQuery
 def test_fig9_sweep(benchmark):
     """Regenerate Fig. 9 and assert OverlapSearch wins among filter-verify methods."""
     rows = benchmark.pedantic(
-        fig9_overlap_vs_k,
-        kwargs={"k_values": K_VALUES, "query_count": 5, "config": OJSP_CONFIG},
+        run_figure,
+        args=("fig9",),
         rounds=1,
         iterations=1,
     )
@@ -36,7 +36,7 @@ def test_fig9_sweep(benchmark):
 
 @pytest.fixture(scope="module")
 def overlap_methods(workbench: Workbench):
-    return _overlap_methods(workbench), workbench.query_nodes(5)
+    return _build_methods(workbench, OVERLAP_METHODS), workbench.query_nodes(5)
 
 
 @pytest.mark.parametrize("method_name", OVERLAP_METHODS)

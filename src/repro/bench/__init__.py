@@ -2,8 +2,9 @@
 
 * :mod:`repro.bench.harness` — builds the synthetic corpora/indexes once per
   configuration and provides timing utilities.
-* :mod:`repro.bench.experiments` — one driver per paper figure/table; each
-  returns plain row dictionaries.
+* :mod:`repro.bench.experiments` — one search-time and one communication
+  sweep driver for the parameter figures, plus one driver per remaining
+  table or figure; each returns plain row dictionaries.
 * :mod:`repro.bench.reporting` — renders rows as aligned text tables.
 """
 

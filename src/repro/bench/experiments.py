@@ -1,14 +1,20 @@
-"""Experiment drivers: one function per paper table/figure.
+"""Experiment drivers for the paper's tables and figures.
+
+Two drivers cover the parameter sweeps: :func:`search_time_sweep` times every
+method of one problem as one parameter moves (Figs. 9-12 and 15-18), and
+:func:`communication_sweep` counts the bytes of routed-and-clipped dispatch
+against broadcast (Figs. 13-14 and 19-20).  The other drivers regenerate one
+table or figure each.  ``benchmarks/conftest.py`` holds the table of figure
+parameters that both the benchmark tests and ``benchmarks/run_bench.py`` run.
 
 Every driver returns a list of plain dictionaries (one row per measurement)
 so the benchmark tests can both assert on the measured *shape* (who wins,
 how the curve moves) and print the rows the way the paper reports them.
-The drivers deliberately accept the sweep values as arguments with defaults
-matching Table II of the paper, scaled to the synthetic corpora.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import time
 import zlib
@@ -43,30 +49,19 @@ __all__ = [
     "table1_source_statistics",
     "fig7_source_heatmaps",
     "fig8_index_construction",
-    "fig9_overlap_vs_k",
-    "fig10_overlap_vs_theta",
-    "fig11_overlap_vs_q",
-    "fig12_overlap_vs_leaf_capacity",
-    "fig13_14_overlap_communication",
-    "fig15_coverage_vs_k",
-    "fig16_coverage_vs_theta",
-    "fig17_coverage_vs_q",
-    "fig18_coverage_vs_delta",
-    "fig19_20_coverage_communication",
+    "search_time_sweep",
+    "communication_sweep",
     "fig21_22_index_updates",
     "fig23_global_index_churn",
     "fig24_local_index_churn",
     "OVERLAP_METHODS",
     "COVERAGE_METHODS",
+    "SEARCH_AXES",
 ]
 
 #: Parameter defaults mirroring Table II, shrunk where the synthetic corpora
 #: are smaller than the real portals.
-DEFAULT_K_VALUES = (2, 4, 6, 8, 10)
-DEFAULT_Q_VALUES = (2, 4, 6, 8, 10)
 DEFAULT_THETA_VALUES = (10, 11, 12, 13, 14)
-DEFAULT_DELTA_VALUES = (0.0, 5.0, 10.0, 15.0, 20.0)
-DEFAULT_LEAF_CAPACITIES = (10, 20, 30, 40, 50)
 DEFAULT_UPDATE_BATCHES = (20, 40, 60, 80, 100)
 
 OVERLAP_METHODS = ("OverlapSearch", "Rtree", "Josie", "QuadTree", "STS3")
@@ -151,123 +146,115 @@ def fig8_index_construction(
 
 
 # ---------------------------------------------------------------------- #
-# OJSP search-time sweeps (Figs. 9-12)
+# Search time as one parameter moves (Figs. 9-12 OJSP, Figs. 15-18 CJSP)
 # ---------------------------------------------------------------------- #
-def _overlap_methods(bench: Workbench, leaf_capacity: int | None = None):
-    """Build all five OJSP methods over the workbench's nodes."""
+#: The axes each problem's search-time sweep can move.
+SEARCH_AXES = {"ojsp": ("k", "theta", "q", "f"), "cjsp": ("k", "theta", "q", "delta")}
+_PROBLEM_METHODS = {"ojsp": OVERLAP_METHODS, "cjsp": COVERAGE_METHODS}
+#: Methods that search a DITS-L, so a leaf-capacity (``f``) sweep rebuilds them.
+_ON_DITS = frozenset({"OverlapSearch", "CoverageSearch", "SG+DITS"})
+
+
+def _build_methods(
+    bench: Workbench, names: Sequence[str], leaf_capacity: int | None = None
+) -> dict:
+    """The named OJSP/CJSP methods over the workbench's nodes, in ``names`` order."""
+    if not names:
+        return {}
     nodes = bench.all_nodes()
-    dits = DITSLocalIndex(leaf_capacity=leaf_capacity or bench.config.leaf_capacity)
-    dits.build(nodes)
-    rtree = bench.build_rtree(nodes)
-    quad = bench.build_quadtree(nodes)
-    sts3 = bench.build_sts3(nodes)
-    josie = bench.build_josie(nodes)
-    return {
-        "OverlapSearch": OverlapSearch(dits),
-        "Rtree": RTreeOverlap(rtree),
-        "Josie": JosieOverlap(josie),
-        "QuadTree": QuadTreeOverlap(quad),
-        "STS3": STS3Overlap(sts3),
+
+    @functools.cache
+    def dits() -> DITSLocalIndex:
+        index = DITSLocalIndex(leaf_capacity=leaf_capacity or bench.config.leaf_capacity)
+        index.build(nodes)
+        return index
+
+    builders = {
+        "OverlapSearch": lambda: OverlapSearch(dits()),
+        "Rtree": lambda: RTreeOverlap(bench.build_rtree(nodes)),
+        "Josie": lambda: JosieOverlap(bench.build_josie(nodes)),
+        "QuadTree": lambda: QuadTreeOverlap(bench.build_quadtree(nodes)),
+        "STS3": lambda: STS3Overlap(bench.build_sts3(nodes)),
+        "CoverageSearch": lambda: CoverageSearch(dits()),
+        "SG+DITS": lambda: StandardGreedyWithDITS(dits()),
+        "SG": lambda: StandardGreedy(nodes),
     }
+    return {name: builders[name]() for name in names}
 
 
-def _run_overlap_workload(
-    methods, queries, k: int, repeats: int = 3
-) -> dict[str, float]:
-    """Best-of-``repeats`` time (ms) per method to answer every query in ``queries``.
+def _time_methods(methods: dict, requests: Sequence) -> dict[str, float]:
+    """Best of 3 wall-clock readings (ms) per method, interleaved across methods.
 
-    The OJSP workloads are sub-millisecond per query at laptop scale, so each
-    measurement is repeated and the minimum kept to suppress cold-cache and
-    scheduler noise.
+    Each round times every method once on the whole request list, so a burst
+    of host load lands on one reading of each method instead of on the only
+    reading of one of them.
     """
-    timings: dict[str, float] = {}
-    for name, method in methods.items():
-        def run(m=method):
-            for query in queries:
-                m.search(OverlapQuery(query=query, k=k))
-        elapsed_ms, _ = time_call(run, repeats=repeats)
-        timings[name] = elapsed_ms
+    timings = dict.fromkeys(methods, float("inf"))
+    for _ in range(3):
+        for name, method in methods.items():
+            elapsed_ms, _ = time_call(lambda m=method: [m.search(r) for r in requests])
+            timings[name] = min(timings[name], elapsed_ms)
     return timings
 
 
-def fig9_overlap_vs_k(
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
+def search_time_sweep(
+    problem: str,
+    axis: str,
+    values: Sequence[float],
+    *,
+    k: int = 5,
+    delta: float = 10.0,
     query_count: int = 5,
     config: ExperimentConfig | None = None,
 ) -> list[dict]:
-    """OJSP search time of the five methods as ``k`` grows (Fig. 9)."""
-    bench = Workbench(config or ExperimentConfig())
-    methods = _overlap_methods(bench)
-    queries = bench.query_nodes(query_count)
+    """Search time of each method as ``axis`` moves over ``values``.
+
+    ``problem`` is ``"ojsp"`` (Figs. 9-12) or ``"cjsp"`` (Figs. 15-18), and
+    ``axis`` one of its :data:`SEARCH_AXES`:
+
+    * ``k`` and ``delta`` change only the query;
+    * ``q`` answers the first ``q`` of ``max(values)`` sampled queries;
+    * ``theta`` re-grids the corpus and rebuilds every method per value;
+    * ``f`` rebuilds DITS-L at each leaf capacity and times only
+      OverlapSearch against the R-tree.
+
+    One row per ``(value, method)``: ``{axis: value, "method": ...,
+    "time_ms": ...}``, the time being the best of 3 interleaved readings of
+    the whole workload.
+    """
+    if axis not in SEARCH_AXES.get(problem, ()):
+        raise ValueError(f"no {problem!r} search-time sweep over axis {axis!r}")
+    names = ("OverlapSearch", "Rtree") if axis == "f" else _PROBLEM_METHODS[problem]
+    base = Workbench(config or ExperimentConfig())
+    # theta re-grids every method's input; f changes only the DITS-L ones.
+    per_value = [n for n in names if axis == "theta" or (axis == "f" and n in _ON_DITS)]
+    fixed = _build_methods(base, [n for n in names if n not in per_value])
+    queries = base.query_nodes(int(max(values)) if axis == "q" else query_count)
     rows = []
-    for k in k_values:
-        timings = _run_overlap_workload(methods, queries, k)
-        for name, elapsed in timings.items():
-            rows.append({"k": k, "method": name, "time_ms": elapsed, "queries": query_count})
-    return rows
-
-
-def fig10_overlap_vs_theta(
-    thetas: Sequence[int] = DEFAULT_THETA_VALUES,
-    k: int = 5,
-    query_count: int = 5,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """OJSP search time as the grid resolution grows (Fig. 10)."""
-    base_bench = Workbench(config or ExperimentConfig())
-    rows = []
-    for theta in thetas:
-        bench = base_bench.with_theta(theta)
-        methods = _overlap_methods(bench)
-        queries = bench.query_nodes(query_count)
-        timings = _run_overlap_workload(methods, queries, k)
-        for name, elapsed in timings.items():
-            rows.append({"theta": theta, "method": name, "time_ms": elapsed})
-    return rows
-
-
-def fig11_overlap_vs_q(
-    q_values: Sequence[int] = DEFAULT_Q_VALUES,
-    k: int = 5,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """OJSP search time as the number of queries grows (Fig. 11)."""
-    bench = Workbench(config or ExperimentConfig())
-    methods = _overlap_methods(bench)
-    all_queries = bench.query_nodes(max(q_values))
-    rows = []
-    for q in q_values:
-        timings = _run_overlap_workload(methods, all_queries[:q], k)
-        for name, elapsed in timings.items():
-            rows.append({"q": q, "method": name, "time_ms": elapsed})
-    return rows
-
-
-def fig12_overlap_vs_leaf_capacity(
-    capacities: Sequence[int] = DEFAULT_LEAF_CAPACITIES,
-    k: int = 5,
-    query_count: int = 5,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """OJSP search time of OverlapSearch vs. the R-tree as ``f`` grows (Fig. 12)."""
-    bench = Workbench(config or ExperimentConfig())
-    nodes = bench.all_nodes()
-    queries = bench.query_nodes(query_count)
-    rtree = bench.build_rtree(nodes)
-    rtree_method = RTreeOverlap(rtree)
-    rows = []
-    for capacity in capacities:
-        dits = DITSLocalIndex(leaf_capacity=capacity)
-        dits.build(nodes)
-        methods = {"OverlapSearch": OverlapSearch(dits), "Rtree": rtree_method}
-        timings = _run_overlap_workload(methods, queries, k)
-        for name, elapsed in timings.items():
-            rows.append({"f": capacity, "method": name, "time_ms": elapsed})
+    for value in values:
+        bench = base
+        if axis == "theta":
+            bench = base.with_theta(int(value))
+            queries = bench.query_nodes(query_count)
+        leaf_capacity = int(value) if axis == "f" else None
+        at_value = {**fixed, **_build_methods(bench, per_value, leaf_capacity)}
+        k_at = int(value) if axis == "k" else k
+        requests = [
+            OverlapQuery(query=query, k=k_at)
+            if problem == "ojsp"
+            else CoverageQuery(query=query, k=k_at, delta=value if axis == "delta" else delta)
+            for query in (queries[: int(value)] if axis == "q" else queries)
+        ]
+        timings = _time_methods({name: at_value[name] for name in names}, requests)
+        rows.extend(
+            {axis: value, "method": name, "time_ms": elapsed}
+            for name, elapsed in timings.items()
+        )
     return rows
 
 
 # ---------------------------------------------------------------------- #
-# Figs. 13-14 — OJSP communication cost and transmission time
+# Communication cost and transmission time (Figs. 13-14 OJSP, 19-20 CJSP)
 # ---------------------------------------------------------------------- #
 def _build_framework(config: ExperimentConfig, policy: DistributionPolicy) -> MultiSourceFramework:
     framework = MultiSourceFramework(
@@ -281,180 +268,58 @@ def _build_framework(config: ExperimentConfig, policy: DistributionPolicy) -> Mu
     return framework
 
 
-def fig13_14_overlap_communication(
-    q_values: Sequence[int] = DEFAULT_Q_VALUES,
+def communication_sweep(
+    problem: str,
+    q_values: Sequence[int],
+    *,
     k: int = 5,
+    delta: float = 10.0,
     config: ExperimentConfig | None = None,
 ) -> list[dict]:
-    """Bytes transferred and transmission time for OJSP as ``q`` grows.
+    """Bytes, messages and transmission time of a federated workload as ``q`` grows.
 
-    ``OverlapSearch`` uses both distribution strategies (candidate routing +
-    query clipping); the baselines broadcast the full query to every source,
-    which is how the paper's comparison methods behave.
+    The method row (``OverlapSearch`` for ``"ojsp"``, ``CoverageSearch`` for
+    ``"cjsp"``) uses both distribution strategies, candidate routing and
+    query clipping; the ``Broadcast`` row sends the full query to every
+    source, which is how the paper's comparison methods behave.
     """
+    if problem not in SEARCH_AXES:
+        raise ValueError(f"unknown problem {problem!r}")
     cfg = config or ExperimentConfig()
-    optimised = _build_framework(cfg, DistributionPolicy(route_to_candidates=True, clip_query=True))
-    broadcast = _build_framework(cfg, DistributionPolicy(route_to_candidates=False, clip_query=False))
-    bench = Workbench(cfg)
-    all_queries = bench.query_nodes(max(q_values))
-
+    frameworks = (
+        (
+            _PROBLEM_METHODS[problem][0],
+            _build_framework(cfg, DistributionPolicy(route_to_candidates=True, clip_query=True)),
+        ),
+        (
+            "Broadcast",
+            _build_framework(cfg, DistributionPolicy(route_to_candidates=False, clip_query=False)),
+        ),
+    )
+    all_queries = Workbench(cfg).query_nodes(max(q_values))
     rows = []
-    for q in q_values:
-        queries = all_queries[:q]
-        for label, framework in (("OverlapSearch", optimised), ("Broadcast", broadcast)):
-            framework.reset_communication_stats()
-            for query in queries:
-                framework.overlap_search(query, k)
-            stats = framework.communication_stats()
-            rows.append(
-                {
-                    "q": q,
-                    "method": label,
-                    "bytes": stats.total_bytes,
-                    "messages": stats.messages_sent,
-                    "transmission_ms": framework.transmission_time_ms(),
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------- #
-# CJSP search-time sweeps (Figs. 15-18)
-# ---------------------------------------------------------------------- #
-def _coverage_methods(bench: Workbench):
-    nodes = bench.all_nodes()
-    dits = bench.build_dits(nodes)
-    return {
-        "CoverageSearch": CoverageSearch(dits),
-        "SG+DITS": StandardGreedyWithDITS(dits),
-        "SG": StandardGreedy(nodes),
-    }
-
-
-def _run_coverage_workload(methods, queries, k: int, delta: float) -> dict[str, float]:
-    """Best of 3 wall-clock readings per method, interleaved across methods.
-
-    Each round times every method once, so a burst of host load lands on one
-    reading of each method instead of on the only reading of one of them.
-    """
-    timings = dict.fromkeys(methods, float("inf"))
-    for _ in range(3):
-        for name, method in methods.items():
-            def run(m=method):
-                for query in queries:
-                    m.search(CoverageQuery(query=query, k=k, delta=delta))
-            elapsed_ms, _ = time_call(run)
-            timings[name] = min(timings[name], elapsed_ms)
-    return timings
-
-
-def fig15_coverage_vs_k(
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    delta: float = 10.0,
-    query_count: int = 3,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """CJSP search time of the three methods as ``k`` grows (Fig. 15)."""
-    bench = Workbench(config or ExperimentConfig())
-    methods = _coverage_methods(bench)
-    queries = bench.query_nodes(query_count)
-    rows = []
-    for k in k_values:
-        timings = _run_coverage_workload(methods, queries, k, delta)
-        for name, elapsed in timings.items():
-            rows.append({"k": k, "method": name, "time_ms": elapsed})
-    return rows
-
-
-def fig16_coverage_vs_theta(
-    thetas: Sequence[int] = DEFAULT_THETA_VALUES,
-    k: int = 5,
-    delta: float = 10.0,
-    query_count: int = 3,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """CJSP search time as the grid resolution grows (Fig. 16)."""
-    base_bench = Workbench(config or ExperimentConfig())
-    rows = []
-    for theta in thetas:
-        bench = base_bench.with_theta(theta)
-        methods = _coverage_methods(bench)
-        queries = bench.query_nodes(query_count)
-        timings = _run_coverage_workload(methods, queries, k, delta)
-        for name, elapsed in timings.items():
-            rows.append({"theta": theta, "method": name, "time_ms": elapsed})
-    return rows
-
-
-def fig17_coverage_vs_q(
-    q_values: Sequence[int] = DEFAULT_Q_VALUES,
-    k: int = 5,
-    delta: float = 10.0,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """CJSP search time as the number of queries grows (Fig. 17)."""
-    bench = Workbench(config or ExperimentConfig())
-    methods = _coverage_methods(bench)
-    all_queries = bench.query_nodes(max(q_values))
-    rows = []
-    for q in q_values:
-        timings = _run_coverage_workload(methods, all_queries[:q], k, delta)
-        for name, elapsed in timings.items():
-            rows.append({"q": q, "method": name, "time_ms": elapsed})
-    return rows
-
-
-def fig18_coverage_vs_delta(
-    delta_values: Sequence[float] = DEFAULT_DELTA_VALUES,
-    k: int = 5,
-    query_count: int = 3,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """CJSP search time as the connectivity threshold grows (Fig. 18)."""
-    bench = Workbench(config or ExperimentConfig())
-    methods = _coverage_methods(bench)
-    queries = bench.query_nodes(query_count)
-    rows = []
-    for delta in delta_values:
-        timings = _run_coverage_workload(methods, queries, k, delta)
-        for name, elapsed in timings.items():
-            rows.append({"delta": delta, "method": name, "time_ms": elapsed})
-    return rows
-
-
-# ---------------------------------------------------------------------- #
-# Figs. 19-20 — CJSP communication cost and transmission time
-# ---------------------------------------------------------------------- #
-def fig19_20_coverage_communication(
-    q_values: Sequence[int] = DEFAULT_Q_VALUES,
-    k: int = 5,
-    delta: float = 10.0,
-    config: ExperimentConfig | None = None,
-) -> list[dict]:
-    """Bytes transferred and transmission time for CJSP as ``q`` grows."""
-    cfg = config or ExperimentConfig()
-    optimised = _build_framework(cfg, DistributionPolicy(route_to_candidates=True, clip_query=True))
-    broadcast = _build_framework(cfg, DistributionPolicy(route_to_candidates=False, clip_query=False))
-    bench = Workbench(cfg)
-    all_queries = bench.query_nodes(max(q_values))
-
-    rows = []
-    for q in q_values:
-        queries = all_queries[:q]
-        for label, framework in (("CoverageSearch", optimised), ("Broadcast", broadcast)):
-            framework.reset_communication_stats()
-            for query in queries:
-                framework.coverage_search(query, k, delta)
-            stats = framework.communication_stats()
-            rows.append(
-                {
-                    "q": q,
-                    "method": label,
-                    "bytes": stats.total_bytes,
-                    "messages": stats.messages_sent,
-                    "transmission_ms": framework.transmission_time_ms(),
-                }
-            )
+    try:
+        for q in q_values:
+            for label, framework in frameworks:
+                framework.reset_communication_stats()
+                for query in all_queries[:q]:
+                    if problem == "ojsp":
+                        framework.overlap_search(query, k)
+                    else:
+                        framework.coverage_search(query, k, delta)
+                stats = framework.communication_stats()
+                rows.append(
+                    {
+                        "q": q,
+                        "method": label,
+                        "bytes": stats.total_bytes,
+                        "messages": stats.messages_sent,
+                        "transmission_ms": framework.transmission_time_ms(),
+                    }
+                )
+    finally:
+        for _, framework in frameworks:
+            framework.close()
     return rows
 
 

@@ -150,13 +150,8 @@ class Workbench:
         return index
 
 
-def time_call(function: Callable[[], object], repeats: int = 1) -> tuple[float, object]:
-    """Run ``function`` ``repeats`` times; return (best wall-clock ms, last result)."""
-    best = float("inf")
-    result: object = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = function()
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        best = min(best, elapsed_ms)
-    return best, result
+def time_call(function: Callable[[], object]) -> tuple[float, object]:
+    """Run ``function`` once; return (wall-clock ms, its result)."""
+    start = time.perf_counter()
+    result = function()
+    return (time.perf_counter() - start) * 1000.0, result

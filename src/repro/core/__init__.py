@@ -42,7 +42,6 @@ from repro.core.problems import (
     CoverageResult,
     OverlapQuery,
     OverlapResult,
-    coverage_of,
     overlap_of,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "SpatialDataset",
     "cell_distance",
     "cell_set_distance",
-    "coverage_of",
     "get_engine",
     "is_directly_connected",
     "set_engine",

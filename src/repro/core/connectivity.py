@@ -16,10 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.dataset import DatasetNode
-from repro.core.distance import (
-    node_distance_lower_bound,
-    node_distance_upper_bound,
-)
+from repro.core.distance import node_distance_bounds
 from repro.core.distance_engine import get_engine
 from repro.core.errors import InvalidParameterError
 
@@ -45,9 +42,10 @@ def is_directly_connected(  # public-api: pairwise oracle of the incremental-gre
     """
     if delta < 0:
         raise InvalidParameterError(f"delta must be non-negative, got {delta}")
-    if node_distance_upper_bound(node_a, node_b) <= delta:
+    lower, upper = node_distance_bounds(node_a, node_b)
+    if upper <= delta:
         return True
-    if node_distance_lower_bound(node_a, node_b) > delta:
+    if lower > delta:
         return False
     return get_engine().within_delta(node_a, node_b, delta)
 

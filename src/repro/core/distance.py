@@ -17,11 +17,14 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+from scipy.spatial import cKDTree
+
 from repro.core.dataset import DatasetNode
 from repro.core.distance_engine import (
+    KDTREE_PAIR_THRESHOLD,
     cell_coords_of_array,
     get_engine,
-    min_coords_distance,
 )
 from repro.core.errors import EmptyDatasetError
 from repro.utils import cellsets
@@ -31,8 +34,6 @@ __all__ = [
     "cell_distance",
     "cell_set_distance",
     "node_distance_bounds",
-    "node_distance_lower_bound",
-    "node_distance_upper_bound",
     "exact_node_distance",
 ]
 
@@ -73,10 +74,15 @@ def cell_set_distance(  # public-api: the stateless Def. 6 oracle of the engine 
         raise EmptyDatasetError("cell set distance requires two non-empty sets")
     if set_a & set_b:
         return 0.0
-    return min_coords_distance(
-        cell_coords_of_array(cellsets.as_cell_array(set_a)),
-        cell_coords_of_array(cellsets.as_cell_array(set_b)),
-    )
+    coords_a = cell_coords_of_array(cellsets.as_cell_array(set_a))
+    coords_b = cell_coords_of_array(cellsets.as_cell_array(set_b))
+    if coords_a.shape[0] * coords_b.shape[0] <= KDTREE_PAIR_THRESHOLD:
+        deltas = coords_a[:, None, :] - coords_b[None, :, :]
+        return float(np.sqrt(np.einsum("ijk,ijk->ij", deltas, deltas).min()))
+    if coords_a.shape[0] > coords_b.shape[0]:
+        coords_a, coords_b = coords_b, coords_a
+    distances, _ = cKDTree(coords_a).query(coords_b, k=1)
+    return float(distances.min())
 
 
 def exact_node_distance(  # public-api: the exact-distance oracle of the connectivity tests
@@ -88,18 +94,6 @@ def exact_node_distance(  # public-api: the exact-distance oracle of the connect
     so decoded coordinates and KD-trees are reused across calls.
     """
     return get_engine().pair_distance(node_a, node_b)
-
-
-def node_distance_lower_bound(node_a: DatasetNode, node_b: DatasetNode) -> float:
-    """Lemma 4 lower bound on ``dist(S_A, S_B)`` from pivots and radii."""
-    pivot_distance = node_a.pivot.distance_to(node_b.pivot)
-    return max(pivot_distance - node_a.radius - node_b.radius, 0.0)
-
-
-def node_distance_upper_bound(node_a: DatasetNode, node_b: DatasetNode) -> float:
-    """Lemma 4 upper bound on ``dist(S_A, S_B)`` from pivots and radii."""
-    pivot_distance = node_a.pivot.distance_to(node_b.pivot)
-    return pivot_distance + node_a.radius + node_b.radius
 
 
 def node_distance_bounds(node_a: DatasetNode, node_b: DatasetNode) -> tuple[float, float]:

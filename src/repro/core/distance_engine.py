@@ -67,7 +67,6 @@ __all__ = [
     "DistanceEngine",
     "cell_coords_of_array",
     "get_engine",
-    "min_coords_distance",
     "set_engine",
 ]
 
@@ -105,25 +104,6 @@ def cell_coords_of_array(cells_array: np.ndarray) -> np.ndarray:
     coords[:, 0] = xs
     coords[:, 1] = ys
     return coords
-
-
-def min_coords_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:
-    """Minimum pairwise Euclidean distance between two coordinate arrays.
-
-    The stateless scalar kernel shared by :func:`repro.core.distance.cell_set_distance`
-    and the engine: a brute-force broadcast below :data:`KDTREE_PAIR_THRESHOLD`
-    pairs, one KD-tree nearest-neighbour pass (tree over the smaller side)
-    above it.  On integer grid coordinates both paths are exact in float64
-    and bit-identical.
-    """
-    if coords_a.shape[0] * coords_b.shape[0] <= KDTREE_PAIR_THRESHOLD:
-        deltas = coords_a[:, None, :] - coords_b[None, :, :]
-        squared = np.einsum("ijk,ijk->ij", deltas, deltas)
-        return float(np.sqrt(squared.min()))
-    if coords_a.shape[0] > coords_b.shape[0]:
-        coords_a, coords_b = coords_b, coords_a
-    distances, _ = cKDTree(coords_a).query(coords_b, k=1)
-    return float(distances.min())
 
 
 class DistanceCacheInfo(NamedTuple):

@@ -85,8 +85,8 @@ class Grid:
     # ------------------------------------------------------------------ #
     # Point <-> cell conversions
     # ------------------------------------------------------------------ #
-    def cell_coords_of(self, point: Point | Sequence[float]) -> tuple[int, int]:
-        """Grid coordinates ``(X, Y)`` of the cell containing ``point``.
+    def cell_id_of(self, point: Point | Sequence[float]) -> int:  # public-api: batch oracle
+        """Z-order cell ID of the cell containing ``point``.
 
         Points outside the data space are clamped to the border cells so
         that the mapping is total.
@@ -95,14 +95,7 @@ class Grid:
         side = self.cells_per_side
         col = int((x - self.space.min_x) / self.cell_width)
         row = int((y - self.space.min_y) / self.cell_height)
-        col = min(max(col, 0), side - 1)
-        row = min(max(row, 0), side - 1)
-        return col, row
-
-    def cell_id_of(self, point: Point | Sequence[float]) -> int:  # public-api: batch oracle
-        """Z-order cell ID of the cell containing ``point``."""
-        col, row = self.cell_coords_of(point)
-        return zorder_encode(col, row)
+        return zorder_encode(min(max(col, 0), side - 1), min(max(row, 0), side - 1))
 
     def cell_ids_of(self, points: Iterable[Point | Sequence[float]]) -> set[int]:
         """Set of cell IDs covered by ``points`` (the cell-based dataset)."""
@@ -114,10 +107,11 @@ class Grid:
     def cell_coords_of_batch(
         self, xs: np.ndarray, ys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`cell_coords_of`: ``(cols, rows)`` int64 vectors.
+        """Grid coordinates of points: ``(cols, rows)`` int64 vectors.
 
         Uses the same truncating division and border clamping as the scalar
-        path, so results are element-wise identical for finite coordinates.
+        :meth:`cell_id_of`, so results are element-wise identical for finite
+        coordinates.
         Non-finite coordinates raise (the scalar path's ``int()`` would),
         and clamping happens before the int64 cast so out-of-range values
         land on the border cells instead of overflowing.
@@ -147,7 +141,7 @@ class Grid:
         return np.unique(zorder_encode_batch(cols, rows))
 
     def cells_to_coords_batch(self, cell_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`coords_of_cell` over a cell-ID vector."""
+        """Grid coordinates ``(cols, rows)`` of a cell-ID vector, range-checked."""
         cell_ids = np.asarray(cell_ids)
         if cell_ids.size:
             lowest = int(cell_ids.min())
@@ -173,11 +167,6 @@ class Grid:
         ys = self.space.min_y + (rows + 0.5) * self.cell_height
         return xs, ys
 
-    def coords_of_cell(self, cell_id: int) -> tuple[int, int]:
-        """Grid coordinates ``(X, Y)`` of ``cell_id``."""
-        self._validate_cell(cell_id)
-        return zorder_decode(cell_id)
-
     def cell_id_from_coords(self, col: int, row: int) -> int:
         """Z-order cell ID of grid coordinates ``(col, row)``."""
         side = self.cells_per_side
@@ -189,7 +178,8 @@ class Grid:
 
     def cell_center(self, cell_id: int) -> Point:  # public-api: scalar oracle of the batch
         """Geographic centre of ``cell_id``."""
-        col, row = self.coords_of_cell(cell_id)
+        self._validate_cell(cell_id)
+        col, row = zorder_decode(cell_id)
         return Point(
             self.space.min_x + (col + 0.5) * self.cell_width,
             self.space.min_y + (row + 0.5) * self.cell_height,

@@ -3,7 +3,8 @@
 This module holds the *semantic* definitions of the two search problems
 (Definitions 10 and 11) independently of any index:
 
-* :func:`overlap_of` and :func:`coverage_of` score a candidate answer.
+* :func:`overlap_of` scores an OJSP candidate; the CJSP objective is
+  ``|S_Q union (union of chosen cell sets)|``.
 * :class:`OverlapQuery` / :class:`CoverageQuery` bundle a query node with its
   search parameters.
 * :class:`OverlapResult` / :class:`CoverageResult` are the returned answers,
@@ -26,7 +27,6 @@ from repro.core.errors import InvalidParameterError
 
 __all__ = [
     "overlap_of",
-    "coverage_of",
     "OverlapQuery",
     "CoverageQuery",
     "OverlapResult",
@@ -43,14 +43,6 @@ __all__ = [
 def overlap_of(query: DatasetNode, candidate: DatasetNode) -> int:
     """OJSP score: ``|S_Q intersect S_D|``."""
     return len(query.cells & candidate.cells)
-
-
-def coverage_of(query: DatasetNode, chosen: Iterable[DatasetNode]) -> int:
-    """CJSP objective: ``|S_Q union (union of chosen cell sets)|``."""
-    covered = set(query.cells)
-    for node in chosen:
-        covered |= node.cells
-    return len(covered)
 
 
 # ---------------------------------------------------------------------- #
@@ -184,7 +176,7 @@ def brute_force_coverage(  # public-api: the exact CJSP optimum the greedy tests
         for subset in itertools.combinations(candidates, size):
             if not satisfies_spatial_connectivity([query, *subset], delta):
                 continue
-            cover = coverage_of(query, subset)
+            cover = len(query.cells.union(*(node.cells for node in subset)))
             if cover > best_cover:
                 best_cover = cover
                 best_subset = subset

@@ -120,7 +120,7 @@ class MultiSourceFramework:
             leaf_capacity=self.leaf_capacity,
             rebalance=self.rebalance,
         )
-        source.load_nodes(nodes)
+        source.index.build(list(nodes))
         self.center.register_source(source)
         return source
 

@@ -67,10 +67,6 @@ class DataSource:
         nodes = [dataset.to_node(self.grid) for dataset in datasets]
         self._index.build(nodes)
 
-    def load_nodes(self, nodes: Iterable[DatasetNode]) -> None:
-        """(Re)build the local index directly from pre-gridded dataset nodes."""
-        self._index.build(list(nodes))
-
     def add_dataset(self, dataset: SpatialDataset) -> None:
         """Incrementally index a new dataset."""
         self._index.insert(dataset.to_node(self.grid))

@@ -7,27 +7,29 @@ handling, method coverage) is verified as part of the ordinary test suite.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.bench.experiments import (
     COVERAGE_METHODS,
     OVERLAP_METHODS,
+    SEARCH_AXES,
+    communication_sweep,
     fig8_index_construction,
-    fig9_overlap_vs_k,
-    fig11_overlap_vs_q,
-    fig12_overlap_vs_leaf_capacity,
-    fig13_14_overlap_communication,
-    fig15_coverage_vs_k,
-    fig18_coverage_vs_delta,
     fig21_22_index_updates,
     fig23_global_index_churn,
+    search_time_sweep,
 )
 from repro.bench.harness import ExperimentConfig
 
 TINY = ExperimentConfig(sources=("Transit",), scale=0.01, theta=11, leaf_capacity=10, seed=3)
+#: Two values per axis, small enough for the tiny corpus.
+TINY_VALUES = {"k": (2, 3), "theta": (10, 11), "q": (1, 2), "f": (10, 20), "delta": (0.0, 5.0)}
 
 
-class TestOverlapDrivers:
+class TestConstructionDriver:
     def test_fig8_rows(self):
         rows = fig8_index_construction(thetas=(10, 11), config=TINY)
         assert len(rows) == 2 * 5
@@ -36,38 +38,93 @@ class TestOverlapDrivers:
             assert row["build_ms"] >= 0
             assert row["memory_bytes"] > 0
 
-    def test_fig9_rows(self):
-        rows = fig9_overlap_vs_k(k_values=(2, 4), query_count=2, config=TINY)
-        assert {row["method"] for row in rows} == set(OVERLAP_METHODS)
-        assert {row["k"] for row in rows} == {2, 4}
-        assert all(row["time_ms"] >= 0 for row in rows)
 
-    def test_fig11_rows(self):
-        rows = fig11_overlap_vs_q(q_values=(1, 2), k=3, config=TINY)
-        assert {row["q"] for row in rows} == {1, 2}
-
-    def test_fig12_rows(self):
-        rows = fig12_overlap_vs_leaf_capacity(capacities=(10, 20), k=3, query_count=2, config=TINY)
-        assert {row["method"] for row in rows} == {"OverlapSearch", "Rtree"}
-        assert {row["f"] for row in rows} == {10, 20}
-
-    def test_fig13_rows(self):
-        rows = fig13_14_overlap_communication(q_values=(1, 2), k=3, config=TINY)
-        assert {row["method"] for row in rows} == {"OverlapSearch", "Broadcast"}
+class TestSearchTimeSweep:
+    @pytest.mark.parametrize(
+        "problem, axis", [(problem, axis) for problem, axes in SEARCH_AXES.items() for axis in axes]
+    )
+    def test_rows(self, problem, axis):
+        values = TINY_VALUES[axis]
+        rows = search_time_sweep(problem, axis, values, k=2, query_count=2, config=TINY)
+        if axis == "f":
+            methods = ("OverlapSearch", "Rtree")
+        else:
+            methods = OVERLAP_METHODS if problem == "ojsp" else COVERAGE_METHODS
+        assert [(row[axis], row["method"]) for row in rows] == [
+            (value, method) for value in values for method in methods
+        ]
         for row in rows:
+            assert set(row) == {axis, "method", "time_ms"}
+            assert row["time_ms"] >= 0
+
+    @pytest.mark.parametrize(
+        "problem, axis", [("cjsp", "f"), ("ojsp", "delta"), ("ojsp", "scale"), ("knn", "k")]
+    )
+    def test_unsupported_pair_raises(self, problem, axis):
+        with pytest.raises(ValueError, match=axis):
+            search_time_sweep(problem, axis, (1,), config=TINY)
+
+
+class TestCommunicationSweep:
+    @pytest.mark.parametrize("problem, method", [("ojsp", "OverlapSearch"), ("cjsp", "CoverageSearch")])
+    def test_rows(self, problem, method):
+        rows = communication_sweep(problem, (1, 2), k=3, config=TINY)
+        assert [(row["q"], row["method"]) for row in rows] == [
+            (q, label) for q in (1, 2) for label in (method, "Broadcast")
+        ]
+        for row in rows:
+            assert set(row) == {"q", "method", "bytes", "messages", "transmission_ms"}
             assert row["bytes"] > 0
             assert row["transmission_ms"] > 0
 
+    def test_unknown_problem_raises(self):
+        with pytest.raises(ValueError, match="knn"):
+            communication_sweep("knn", (1,), config=TINY)
 
-class TestCoverageDrivers:
-    def test_fig15_rows(self):
-        rows = fig15_coverage_vs_k(k_values=(2, 3), delta=5.0, query_count=1, config=TINY)
-        assert {row["method"] for row in rows} == set(COVERAGE_METHODS)
-        assert {row["k"] for row in rows} == {2, 3}
 
-    def test_fig18_rows(self):
-        rows = fig18_coverage_vs_delta(delta_values=(0.0, 5.0), k=2, query_count=1, config=TINY)
-        assert {row["delta"] for row in rows} == {0.0, 5.0}
+def _figure_table():
+    """The ``FIGURES`` table of ``benchmarks/conftest.py``, loaded as a plain module."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("benchmark_figures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: ``(q, method, bytes, messages, transmission_ms)`` of Figs. 13 and 19 at the
+#: table's parameters, as recorded when each figure still had its own
+#: communication function.
+COMMUNICATION_ROWS = {
+    "fig13": [
+        (2, "OverlapSearch", 1234, 4, 3.1768341064453125),
+        (2, "Broadcast", 2198, 8, 6.0961761474609375),
+        (4, "OverlapSearch", 2805, 8, 6.675056457519531),
+        (4, "Broadcast", 5069, 16, 12.834175109863281),
+        (6, "OverlapSearch", 4507, 12, 10.298210144042969),
+        (6, "Broadcast", 8203, 24, 19.82299041748047),
+        (8, "OverlapSearch", 5559, 16, 13.301475524902344),
+        (8, "Broadcast", 10039, 32, 25.573936462402344),
+    ],
+    "fig19": [
+        (2, "CoverageSearch", 14594, 4, 15.917922973632812),
+        (2, "Broadcast", 15598, 8, 18.875411987304688),
+        (4, "CoverageSearch", 29524, 8, 32.156280517578125),
+        (4, "Broadcast", 31868, 16, 38.391693115234375),
+        (6, "CoverageSearch", 44346, 12, 48.29164123535156),
+        (6, "Broadcast", 48162, 24, 57.93086242675781),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUNICATION_ROWS))
+def test_communication_rows_at_table_parameters(name, monkeypatch):
+    for knob in ("REPRO_BENCH_SCALE", "REPRO_BENCH_OJSP_SCALE"):
+        monkeypatch.delenv(knob, raising=False)
+    rows = _figure_table().run_figure(name)
+    assert [
+        (row["q"], row["method"], row["bytes"], row["messages"], row["transmission_ms"])
+        for row in rows
+    ] == COMMUNICATION_ROWS[name]
 
 
 class TestUpdateDriver:
@@ -91,13 +148,3 @@ class TestGlobalChurnDriver:
         # An eager one-shard row would overwrite the deferred baseline's key.
         with pytest.raises(ValueError, match="sharded-1"):
             fig23_global_index_churn(source_counts=(40,), shard_counts=(1, 4))
-
-
-class TestConfigHandling:
-    @pytest.mark.parametrize("driver", [fig9_overlap_vs_k, fig15_coverage_vs_k])
-    def test_default_config_is_used_when_omitted(self, driver):
-        # Only check that calling with explicit tiny parameters works and the
-        # rows carry the expected keys; the default config is exercised by
-        # the benchmarks.
-        rows = driver(k_values=(2,), query_count=1, config=TINY)
-        assert rows and "method" in rows[0]

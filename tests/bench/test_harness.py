@@ -58,17 +58,6 @@ class TestTimeCall:
         assert elapsed >= 0.0
         assert result == sum(range(1000))
 
-    def test_repeats_take_best(self):
-        calls = []
-
-        def work():
-            calls.append(1)
-            return len(calls)
-
-        elapsed, result = time_call(work, repeats=3)
-        assert len(calls) == 3
-        assert result == 3
-
 
 class TestReporting:
     ROWS = [

@@ -14,8 +14,6 @@ from repro.core.distance import (
     cell_set_distance,
     exact_node_distance,
     node_distance_bounds,
-    node_distance_lower_bound,
-    node_distance_upper_bound,
 )
 from repro.core.errors import EmptyDatasetError
 from repro.core.geometry import BoundingBox
@@ -108,14 +106,15 @@ class TestNodeDistanceBounds:
     def test_lower_bound_clamped_at_zero(self):
         a = self.make_node("a", {cell(0, 0), cell(5, 5)})
         b = self.make_node("b", {cell(1, 1), cell(6, 6)})
-        assert node_distance_lower_bound(a, b) >= 0.0
+        assert node_distance_bounds(a, b)[0] >= 0.0
 
-    def test_individual_bound_helpers_match_combined(self):
+    def test_bounds_follow_lemma_4(self):
         a = self.make_node("a", {cell(0, 0), cell(3, 3)})
         b = self.make_node("b", {cell(10, 10), cell(12, 14)})
+        pivot_distance = a.pivot.distance_to(b.pivot)
         lower, upper = node_distance_bounds(a, b)
-        assert node_distance_lower_bound(a, b) == pytest.approx(lower)
-        assert node_distance_upper_bound(a, b) == pytest.approx(upper)
+        assert lower == pytest.approx(pivot_distance - a.radius - b.radius)
+        assert upper == pytest.approx(pivot_distance + a.radius + b.radius)
 
 
 class TestBoundProperties:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import BoundingBox, Point
 from repro.core.grid import WORLD_SPACE, Grid
+from repro.utils.zorder import zorder_decode
 
 
 class TestGridConstruction:
@@ -70,9 +71,9 @@ class TestCellGeometry:
     def test_invalid_cell_rejected(self):
         grid = Grid(theta=2)
         with pytest.raises(InvalidParameterError):
-            grid.coords_of_cell(grid.total_cells)
+            grid.cell_center(grid.total_cells)
         with pytest.raises(InvalidParameterError):
-            grid.coords_of_cell(-1)
+            grid.cell_center(-1)
 
     def test_cell_id_from_coords_bounds(self):
         grid = Grid(theta=2)
@@ -138,7 +139,7 @@ class TestCoordinateCodec:
         for col, row in ((0, 0), (last, 0), (0, last), (last, last)):
             cell = grid.cell_id_from_coords(col, row)
             assert 0 <= cell < grid.total_cells
-            assert grid.coords_of_cell(cell) == (col, row)
+            assert zorder_decode(cell) == (col, row)
         assert grid.cell_id_from_coords(last, last) == grid.total_cells - 1
         with pytest.raises(InvalidParameterError):
             grid.cell_id_from_coords(grid.cells_per_side, 0)
@@ -154,7 +155,7 @@ class TestGridProperties:
     )
     def test_point_maps_into_its_cell_box(self, theta, x, y):
         grid = Grid(theta=theta)
-        col, row = grid.coords_of_cell(grid.cell_id_of(Point(x, y)))
+        col, row = zorder_decode(grid.cell_id_of(Point(x, y)))
         min_x = grid.space.min_x + col * grid.cell_width
         min_y = grid.space.min_y + row * grid.cell_height
         box = BoundingBox(min_x, min_y, min_x + grid.cell_width, min_y + grid.cell_height)

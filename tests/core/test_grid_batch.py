@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import BoundingBox, Point
 from repro.core.grid import WORLD_SPACE, Grid
+from repro.utils.zorder import zorder_decode
 
 finite_lon = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 finite_lat = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -63,7 +64,7 @@ class TestCellsToCoordsBatch:
     def test_matches_scalar_decode(self, cells):
         grid = Grid(theta=10)
         cols, rows = grid.cells_to_coords_batch(np.array(cells, dtype=np.int64))
-        expected = [grid.coords_of_cell(cell) for cell in cells]
+        expected = [zorder_decode(cell) for cell in cells]
         assert list(zip(cols.tolist(), rows.tolist())) == expected
 
     def test_rejects_out_of_grid_cells(self):

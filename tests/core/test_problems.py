@@ -19,7 +19,6 @@ from repro.core.problems import (
     ScoredDataset,
     brute_force_coverage,
     brute_force_overlap,
-    coverage_of,
     overlap_of,
 )
 
@@ -36,13 +35,13 @@ class TestScoring:
         d = node("d", {(1, 1), (2, 2), (3, 3)})
         assert overlap_of(q, d) == 2
 
-    def test_coverage_of(self):
+    def test_coverage_objective(self):
         q = node("q", {(0, 0)})
         d1 = node("d1", {(0, 0), (1, 1)})
         d2 = node("d2", {(2, 2)})
-        assert coverage_of(q, []) == 1
-        assert coverage_of(q, [d1]) == 2
-        assert coverage_of(q, [d1, d2]) == 3
+        assert brute_force_coverage(q, [], k=1, delta=10.0).total_coverage == 1
+        assert brute_force_coverage(q, [d1], k=1, delta=10.0).total_coverage == 2
+        assert brute_force_coverage(q, [d1, d2], k=2, delta=10.0).total_coverage == 3
 
 
 class TestQueryValidation:
@@ -168,4 +167,4 @@ class TestBruteForceProperties:
         assert len(result) <= k
         chosen = [c for c in candidates if c.dataset_id in result.dataset_ids]
         assert satisfies_spatial_connectivity([query, *chosen], delta=2.0)
-        assert result.total_coverage == coverage_of(query, chosen)
+        assert result.total_coverage == len(query.cells.union(*(c.cells for c in chosen)))

@@ -12,7 +12,7 @@ from repro.core.dataset import DatasetNode
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import BoundingBox
 from repro.core.grid import Grid
-from repro.core.problems import CoverageQuery, brute_force_coverage, coverage_of
+from repro.core.problems import CoverageQuery, brute_force_coverage
 from repro.index.dits import DITSLocalIndex
 from repro.search.coverage import CoverageSearch, find_connected_nodes
 
@@ -105,7 +105,7 @@ class TestCoverageSearchBasics:
         query = nodes[0]
         result = search.search_node(query, k=5, delta=10.0)
         chosen = [n for n in nodes if n.dataset_id in result.dataset_ids]
-        assert result.total_coverage == coverage_of(query, chosen)
+        assert result.total_coverage == len(query.cells.union(*(n.cells for n in chosen)))
         assert result.query_coverage == len(query.cells)
 
     def test_marginal_gains_positive_and_recorded_in_order(self):

@@ -182,6 +182,13 @@ class TestDeadSurface:
         assert scanned[0] > 50 and scanned[1] > 200, scanned  # the scan saw the tree
 
         exempt = set(repro.__all__)
+        # Loads inside a `# public-api:`-marked definition do not keep other
+        # code alive: the marker exempts that definition, not what it calls.
+        marked_spans = [(path, first, last) for path, _, first, last, marked in definitions if marked]
+
+        def inside(spans, where, line):
+            return any(where == path and first <= line <= last for path, first, last in spans)
+
         dead = [
             f"{path.relative_to(REPO)}:{first} {qualname}"
             for path, qualname, first, last, marked in definitions
@@ -189,7 +196,7 @@ class TestDeadSurface:
             and qualname not in exempt
             # A definition's references to itself (recursion) do not count.
             and not any(
-                not (where == path and first <= line <= last)
+                not inside([(path, first, last), *marked_spans], where, line)
                 for where, line in references.get(qualname.rpartition(".")[2], ())
             )
         ]
