@@ -37,10 +37,13 @@ def test_each_strategy_reduces_bytes(benchmark, queries):
         rows = []
         for label, policy in POLICIES.items():
             framework = _build_framework(BENCH_CONFIG, policy)
-            framework.reset_communication_stats()
-            for query in queries:
-                framework.overlap_search(query, k=5)
-            stats = framework.communication_stats()
+            try:
+                framework.reset_communication_stats()
+                for query in queries:
+                    framework.overlap_search(query, k=5)
+                stats = framework.communication_stats()
+            finally:
+                framework.close()
             rows.append(
                 {
                     "policy": label,

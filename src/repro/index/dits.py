@@ -8,8 +8,11 @@ median pivot (Algorithm 1).  The structure combines two classic indexes:
   radius enclosing its subtree, which enables MBR pruning and the Lemma 4
   distance bounds used by CoverageSearch;
 * like an inverted index, every *leaf* stores posting lists mapping each cell
-  ID to the dataset IDs in the leaf that contain it, which enables the
-  Lemma 2/3 intersection bounds and fast verification used by OverlapSearch.
+  ID to the datasets in the leaf that contain it, which enables the Lemma 2/3
+  intersection bounds and fast verification used by OverlapSearch.  The
+  postings are CSR arrays built from the entries' sorted ``cells_array``
+  (:class:`LeafNode`), so a query is answered by one ``searchsorted`` and one
+  ``bincount`` over the shared cells, with no hash set on the way.
 
 The tree keeps parent pointers (a bidirectional structure) so the incremental
 insert/update/delete operations of Appendix IX-C touch one root-to-leaf path,
@@ -27,6 +30,8 @@ keeps the Lemma 2/3/4 pruning bounds as strong as on a freshly built tree.
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.core.dataset import DatasetNode
 from repro.core.errors import (
@@ -112,18 +117,16 @@ class InternalNode(TreeNode):
 class LeafNode(TreeNode):
     """A DITS-L leaf holding dataset nodes and their inverted index (Definition 14).
 
-    The posting list of each cell is a *counted* mapping ``dataset id -> 1``
-    (an insertion-ordered set with O(1) membership and removal) rather than a
-    plain list: iterating it yields the dataset IDs exactly like the list
-    did, ``len()`` still gives the posting count, but ``remove_entry`` no
-    longer pays an O(postings) ``list.remove`` per cell.
-
-    Leaves additionally expose :attr:`full_cells` — the cells whose posting
-    list contains *every* dataset of the leaf — so the Lemma 3 lower bound
-    is one set intersection per query instead of a per-cell posting scan.
+    The inverted index is kept as CSR postings built from the entries'
+    ``cells_array``: ``cells`` holds the leaf's distinct cells (sorted),
+    the postings of ``cells[i]`` are the entry ordinals
+    ``owners[indptr[i]:indptr[i + 1]]`` (ascending), and ``full`` marks the
+    cells every entry posts.  A leaf holds at most ``capacity`` entries, so
+    every mutation simply rebuilds the arrays; an in-place update swaps the
+    entry with :meth:`replace_entry`, one rebuild instead of two.
     """
 
-    __slots__ = ("entries", "inverted", "capacity", "_full_cells")
+    __slots__ = ("entries", "capacity", "cells", "indptr", "owners", "full")
 
     def __init__(
         self,
@@ -135,10 +138,7 @@ class LeafNode(TreeNode):
         super().__init__(rect, parent)
         self.entries = list(entries)
         self.capacity = capacity
-        self.size = len(self.entries)
-        self.inverted: dict[int, dict[str, int]] = {}
-        self._full_cells: set[int] | None = None
-        self.rebuild_inverted()
+        self._index_entries()
 
     def is_leaf(self) -> bool:
         """A leaf stores dataset entries directly."""
@@ -147,68 +147,76 @@ class LeafNode(TreeNode):
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def full_cells(self) -> set[int]:
-        """Cells posted by every dataset of the leaf (Lemma 3 support set)."""
-        cached = self._full_cells
-        if cached is None:
-            size = len(self.entries)
-            cached = {
-                cell
-                for cell, postings in self.inverted.items()
-                if len(postings) == size
-            }
-            self._full_cells = cached
-        return cached
+    def _index_entries(self) -> None:
+        """Rebuild the size and the CSR postings from ``entries``."""
+        self.size = len(self.entries)
+        arrays = [entry.cells_array for entry in self.entries]
+        count = len(arrays)
+        # One sort of (cell, owner) packed into an int64: cell IDs have at
+        # most 2 * 20 bits, so the entry ordinal fits in the low bits, and
+        # each cell's owners come out in ascending entry order.
+        shift = count.bit_length()
+        owners = np.repeat(np.arange(count, dtype=np.int64), [a.size for a in arrays])
+        flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        keys = np.sort((flat << shift) | owners)
+        flat = keys >> shift
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        self.cells = flat[starts]
+        self.indptr = np.append(starts, flat.size)
+        self.owners = (keys & ((1 << shift) - 1)).astype(np.int32)
+        self.full = np.diff(self.indptr) == count
 
-    def rebuild_inverted(self) -> None:
-        """Recompute the cell-ID -> dataset-ID posting lists from the entries."""
-        inverted: dict[int, dict[str, int]] = {}
-        for entry in self.entries:
-            dataset_id = entry.dataset_id
-            for cell in entry.cells_array.tolist():
-                postings = inverted.get(cell)
-                if postings is None:
-                    inverted[cell] = {dataset_id: 1}
-                else:
-                    postings[dataset_id] = 1
-        self.inverted = inverted
-        self._full_cells = None
+    def bounds(self, query_cells: np.ndarray) -> tuple[int, int, np.ndarray]:
+        """Lemma 3 lower and Lemma 2 upper bounds for a sorted query array.
+
+        ``upper`` counts the query cells the leaf posts (no entry overlaps
+        the query on more), ``lower`` the query cells every entry posts
+        (every entry overlaps the query on at least that many).  The third
+        item, the shared cells' positions in ``cells``, is what
+        :meth:`overlaps` takes.
+        """
+        cells = self.cells
+        positions = np.minimum(np.searchsorted(cells, query_cells), cells.size - 1)
+        shared = positions[cells[positions] == query_cells]
+        return int(np.count_nonzero(self.full[shared])), int(shared.size), shared
+
+    def overlaps(self, shared: np.ndarray) -> list[tuple[str, int]]:  # parity-critical
+        """``(dataset id, overlap)`` of every entry posting a ``shared`` cell.
+
+        Only the shared cells' posting slices are gathered: one leaf can post
+        far more cells than a query has.
+        """
+        starts = self.indptr[shared]
+        lengths = self.indptr[shared + 1] - starts
+        gather = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        gather += np.arange(gather.size)
+        counts = np.bincount(self.owners[gather], minlength=len(self.entries))
+        entries = self.entries
+        return [
+            (entries[ordinal].dataset_id, int(counts[ordinal]))
+            for ordinal in np.flatnonzero(counts).tolist()
+        ]
 
     def add_entry(self, node: DatasetNode) -> None:
-        """Append a dataset node and extend the posting lists."""
+        """Append a dataset node and rebuild the postings."""
         self.entries.append(node)
-        self.size = len(self.entries)
-        dataset_id = node.dataset_id
-        inverted = self.inverted
-        for cell in node.cells_array.tolist():
-            postings = inverted.get(cell)
-            if postings is None:
-                inverted[cell] = {dataset_id: 1}
-            else:
-                postings[dataset_id] = 1
-        self._full_cells = None
+        self._index_entries()
 
     def remove_entry(self, dataset_id: str) -> DatasetNode:
-        """Remove the entry with ``dataset_id`` and shrink the posting lists.
+        """Remove the entry with ``dataset_id`` and rebuild the postings."""
+        removed = self.entries.pop(self._position(dataset_id))
+        self._index_entries()
+        return removed
 
-        O(cells of the removed dataset): the counted postings make each
-        per-cell removal a hash delete instead of a list scan.
-        """
+    def replace_entry(self, node: DatasetNode) -> None:
+        """Swap ``node`` in for the entry with its dataset id; one rebuild."""
+        self.entries[self._position(node.dataset_id)] = node
+        self._index_entries()
+
+    def _position(self, dataset_id: str) -> int:
         for position, entry in enumerate(self.entries):
             if entry.dataset_id == dataset_id:
-                removed = self.entries.pop(position)
-                self.size = len(self.entries)
-                inverted = self.inverted
-                for cell in removed.cells_array.tolist():
-                    postings = inverted.get(cell)
-                    if postings is None:
-                        continue
-                    postings.pop(dataset_id, None)
-                    if not postings:
-                        del inverted[cell]
-                self._full_cells = None
-                return removed
+                return position
         raise DatasetNotFoundError(dataset_id)
 
     def dataset_ids(self) -> list[str]:
@@ -348,8 +356,7 @@ class DITSLocalIndex(DatasetIndex):
             self._delete_structure(old)
             self._insert_structure(new)
             return
-        leaf.remove_entry(old.dataset_id)
-        leaf.add_entry(new)
+        leaf.replace_entry(new)
         if self._defer_refits:
             # Keep the MBRs conservative now (the new rect may extend past
             # the leaf), defer the re-tightening to the next query flush.

@@ -63,8 +63,7 @@ def _dits_bytes(index: DITSLocalIndex) -> int:
     total = index.node_count() * _TREE_NODE_BYTES
     for leaf in index.leaves():
         total += len(leaf.entries) * _DATASET_ENTRY_BYTES
-        total += len(leaf.inverted) * _CELL_KEY_BYTES
-        total += sum(len(postings) for postings in leaf.inverted.values()) * _POSTING_BYTES
+        total += len(leaf.cells) * _CELL_KEY_BYTES + len(leaf.owners) * _POSTING_BYTES
     return total
 
 

@@ -1,7 +1,8 @@
 """Search algorithms for OJSP and CJSP.
 
-* :mod:`repro.search.bounds` — leaf-level intersection bounds (Lemmas 2–3).
-* :mod:`repro.search.overlap` — ``OverlapSearch`` (Algorithm 2) over DITS-L.
+* :mod:`repro.search.overlap` — ``OverlapSearch`` (Algorithm 2) over DITS-L;
+  the Lemma 2/3 leaf bounds it prunes with are read off each DITS-L leaf's
+  postings (:meth:`repro.index.dits.LeafNode.bounds`).
 * :mod:`repro.search.overlap_baselines` — OJSP via QuadTree, R-tree, STS3,
   Josie and a brute-force scan.
 * :mod:`repro.search.coverage` — ``CoverageSearch`` (Algorithm 3) over
@@ -10,7 +11,6 @@
   index-assisted ``SG+DITS`` baselines.
 """
 
-from repro.search.bounds import leaf_intersection_bounds
 from repro.search.coverage import CoverageSearch, find_connected_nodes
 from repro.search.coverage_baselines import (
     StandardGreedy,
@@ -36,5 +36,4 @@ __all__ = [
     "StandardGreedy",
     "StandardGreedyWithDITS",
     "find_connected_nodes",
-    "leaf_intersection_bounds",
 ]

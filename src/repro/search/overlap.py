@@ -4,16 +4,18 @@ The algorithm has a filter phase and a verification phase:
 
 1. **Filter (BranchAndBound)** — recurse down the DITS-L tree, pruning every
    subtree whose MBR does not intersect the query MBR (datasets with disjoint
-   MBRs cannot share a cell).  For each surviving leaf, compute the Lemma 2/3
-   lower and upper intersection bounds from the leaf's inverted index; a leaf
-   whose upper bound cannot beat the lower bounds of ``k`` already-collected
-   leaves is discarded in batch.
+   MBRs cannot share a cell).  For each surviving leaf, read the Lemma 2
+   upper and Lemma 3 lower intersection bounds off the leaf's inverted index
+   (:meth:`~repro.index.dits.LeafNode.bounds`: one ``searchsorted`` of the
+   query's sorted cell array); a leaf whose upper bound cannot beat the lower
+   bounds of ``k`` already-collected leaves is discarded in batch.
 
 2. **Verify** — candidate leaves are drained from a max-heap ordered by upper
    bound, so verification stops at the first leaf that provably cannot beat
    the current k-th best overlap (the incremental verification threshold).
-   Within a leaf, exact per-dataset overlaps are accumulated from the
-   counted posting lists of the shared query cells and pushed into a
+   Within a leaf, exact per-dataset overlaps are one ``bincount`` over the
+   shared query cells' postings
+   (:meth:`~repro.index.dits.LeafNode.overlaps`), pushed into a
    *canonical* bounded top-``k`` result queue that breaks score ties by
    dataset ID (smallest first) — both for which tied dataset is retained at
    the ``k``-th position and for the final ordering.
@@ -34,10 +36,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.dataset import DatasetNode
 from repro.core.problems import OverlapQuery, OverlapResult
 from repro.index.dits import DITSLocalIndex, InternalNode, LeafNode
-from repro.search.bounds import leaf_intersection_bounds
 from repro.utils.heaps import CanonicalTopK
 
 __all__ = ["OverlapSearch", "OverlapSearchStats"]
@@ -57,11 +60,12 @@ class OverlapSearchStats:
 
 @dataclass(slots=True)
 class _CandidateLeaf:
-    """A leaf that survived filtering, together with its bounds."""
+    """A leaf that survived filtering: its bounds and shared-cell positions."""
 
     leaf: LeafNode
     lower: int
     upper: int
+    shared: np.ndarray
 
 
 class OverlapSearch:
@@ -93,7 +97,7 @@ class OverlapSearch:
             return OverlapResult(entries=())
 
         candidates = self._filter_leaves(query, k, stats)
-        results = self._verify(query, k, candidates, stats)
+        results = self._verify(k, candidates, stats)
         return results
 
     # ------------------------------------------------------------------ #
@@ -104,7 +108,7 @@ class OverlapSearch:
     ) -> list[tuple[int, int, _CandidateLeaf]]:
         """Surviving candidate leaves as a ``(-upper, seq, candidate)`` heap."""
         query_rect = query.rect
-        query_cells = query.cells
+        query_cells = query.cells_array
         candidates: list[_CandidateLeaf] = []
 
         stack = [self._index.root]
@@ -116,11 +120,11 @@ class OverlapSearch:
             if node.is_leaf():
                 assert isinstance(node, LeafNode)
                 stats.visited_leaves += 1
-                lower, upper = leaf_intersection_bounds(node, query_cells)
+                lower, upper, shared = node.bounds(query_cells)
                 if upper == 0:
                     stats.pruned_by_bounds += 1
                     continue
-                candidates.append(_CandidateLeaf(leaf=node, lower=lower, upper=upper))
+                candidates.append(_CandidateLeaf(node, lower, upper, shared))
             else:
                 assert isinstance(node, InternalNode)
                 stats.visited_internal += 1
@@ -147,17 +151,15 @@ class OverlapSearch:
         return heap
 
     # ------------------------------------------------------------------ #
-    # Phase 2: verification via leaf posting lists / merge kernels
+    # Phase 2: verification via the leaves' postings
     # ------------------------------------------------------------------ #
     def _verify(  # parity-critical
         self,
-        query: DatasetNode,
         k: int,
         candidates: list[tuple[int, int, _CandidateLeaf]],
         stats: OverlapSearchStats,
     ) -> OverlapResult:
         heap: CanonicalTopK[str] = CanonicalTopK(k)
-        query_cells = query.cells
         while candidates:
             _, _, candidate = heapq.heappop(candidates)
             # Candidates pop in decreasing upper-bound order, so once the
@@ -169,9 +171,8 @@ class OverlapSearch:
             if heap.is_full() and candidate.upper < heap.kth_score():
                 stats.pruned_by_bounds += 1
                 break
-            overlaps = self._leaf_overlaps(candidate.leaf, query_cells)
             stats.verified_datasets += len(candidate.leaf.entries)
-            for dataset_id, overlap in overlaps.items():
+            for dataset_id, overlap in candidate.leaf.overlaps(candidate.shared):
                 heap.push(float(overlap), dataset_id)
         # Fewer than k datasets overlap the query (the loop verified every
         # positive-overlap dataset, or the heap would be full): fill with
@@ -192,23 +193,6 @@ class OverlapSearch:
                         break
         return OverlapResult.from_pairs((dataset_id, score) for score, dataset_id in heap.items())
 
-    @staticmethod
-    def _leaf_overlaps(leaf: LeafNode, query_cells: frozenset[int]) -> dict[str, int]:  # parity-critical
-        """Exact per-dataset intersection counts computed from the posting lists.
-
-        One C-level set intersection finds the cells the query shares with the
-        leaf; only those cells' posting lists are scanned.  Counts are keyed
-        in scan order, preserving the seed's tie-breaking behaviour.
-        """
-        counts: dict[str, int] = {}
-        inverted = leaf.inverted
-        # Iteration order over the shared cells is arbitrary, but each
-        # dataset's count is a commutative sum and consumers rank through the
-        # order-insensitive CanonicalTopK, so no ordering escapes this dict.
-        for cell in query_cells & inverted.keys():  # repro-lint: disable=REPRO301
-            for dataset_id in inverted[cell]:
-                counts[dataset_id] = counts.get(dataset_id, 0) + 1
-        return counts
 
 def _kth_lower_bound(candidates: list[_CandidateLeaf], k: int) -> int:
     """The k-th largest lower bound achievable across candidate leaves.

@@ -172,8 +172,5 @@ class TestSelfCheck:
     def test_live_tree_scans_the_whole_package(self, report):
         assert report.modules_scanned >= 50
 
-    def test_known_escape_is_the_only_suppression(self, report):
-        # OverlapSearch._leaf_overlaps iterates the shared-cell set into a
-        # commutative counter; it is the one justified REPRO301 escape.
-        assert [finding.code for finding in report.suppressed] == ["REPRO301"]
-        assert report.suppressed[0].path.endswith("search/overlap.py")
+    def test_live_tree_has_no_suppressions(self, report):
+        assert report.suppressed == [], [f.location() for f in report.suppressed]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.dataset as dataset_module
 from repro.core.connectivity import satisfies_spatial_connectivity
 from repro.core.dataset import SpatialDataset
 from repro.core.geometry import BoundingBox
@@ -131,6 +132,19 @@ class TestSingleStoredCellForm:
         ]
         assert len(stored) == 55
         assert [node.dataset_id for node in stored if node._cells_view is not None] == []
+
+    def test_overlap_search_builds_no_cells_view(self, framework, monkeypatch):
+        query = framework.query_from_dataset(make_datasets(REGION_A, 1, seed=13, prefix="q")[0])
+        views: list[object] = []
+        build_view = dataset_module._cells_view
+
+        def counting_view(obj):
+            views.append(obj)
+            return build_view(obj)
+
+        monkeypatch.setattr(dataset_module, "_cells_view", counting_view)
+        assert any(entry.score > 0 for entry in framework.overlap_search(query, k=5))
+        assert views == []
 
 
 class TestCommunicationPolicies:

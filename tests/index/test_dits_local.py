@@ -17,6 +17,8 @@ from repro.core.geometry import BoundingBox
 from repro.core.grid import Grid
 from repro.index.dits import DITSLocalIndex, InternalNode, LeafNode, _median_split
 
+from set_oracle import assert_leaf_postings
+
 GRID = Grid(theta=8, space=BoundingBox(0, 0, 256, 256))
 
 
@@ -126,11 +128,7 @@ class TestConstruction:
         index = DITSLocalIndex(leaf_capacity=4)
         index.build(nodes)
         for leaf in index.leaves():
-            expected: dict[int, set[str]] = {}
-            for entry in leaf.entries:
-                for cell in entry.cells:
-                    expected.setdefault(cell, set()).add(entry.dataset_id)
-            assert {cell: set(ids) for cell, ids in leaf.inverted.items()} == expected
+            assert_leaf_postings(leaf)
 
     def test_root_summary(self):
         nodes = random_nodes(20, seed=7)

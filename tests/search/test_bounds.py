@@ -1,4 +1,8 @@
-"""Tests for the leaf-level intersection bounds (Lemmas 2 and 3)."""
+"""Tests for the leaf-level intersection bounds (Lemmas 2 and 3).
+
+``LeafNode.bounds`` is checked against :func:`set_oracle.leaf_bounds`, the
+same bounds computed on the entries' frozensets.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,9 @@ from repro.core.dataset import DatasetNode
 from repro.core.geometry import BoundingBox
 from repro.core.grid import Grid
 from repro.index.dits import LeafNode
-from repro.search.bounds import leaf_intersection_bounds
+from repro.utils.cellsets import as_cell_array
+
+from set_oracle import leaf_bounds
 
 GRID = Grid(theta=6, space=BoundingBox(0, 0, 64, 64))
 
@@ -24,11 +30,9 @@ def make_leaf(entries: list[DatasetNode]) -> LeafNode:
     return LeafNode(rect, entries, capacity=len(entries))
 
 
-def posting_bounds(leaf: LeafNode, query: set[int] | frozenset[int]) -> tuple[int, int]:
-    """``(lower, upper)`` read off the leaf's posting lists one query cell at a time."""
-    postings = [leaf.inverted.get(cell, {}) for cell in query]
-    upper = sum(1 for posting in postings if posting)
-    lower = sum(1 for posting in postings if len(posting) == len(leaf.entries))
+def leaf_intersection_bounds(leaf: LeafNode, query: set[int] | frozenset[int]) -> tuple[int, int]:
+    """``(lower, upper)`` from ``leaf.bounds`` on the query's sorted cell array."""
+    lower, upper, _ = leaf.bounds(as_cell_array(query))
     return lower, upper
 
 
@@ -65,10 +69,10 @@ class TestBoundsSemantics:
         lower, upper = leaf_intersection_bounds(leaf, {2, 3, 9})
         assert lower == upper == 2
 
-    def test_bounds_match_the_posting_lists(self):
+    def test_bounds_match_the_set_oracle(self):
         leaf = make_leaf([node("a", {1, 2, 8}), node("b", {2, 8, 9})])
         query = frozenset({2, 8, 9, 30})
-        assert leaf_intersection_bounds(leaf, query) == posting_bounds(leaf, query) == (2, 3)
+        assert leaf_intersection_bounds(leaf, query) == leaf_bounds(leaf.entries, query) == (2, 3)
 
 
 class TestBoundCorrectnessProperty:
@@ -81,12 +85,25 @@ class TestBoundCorrectnessProperty:
         leaf = make_leaf(entries)
         query = frozenset(query_cells)
         lower, upper = leaf_intersection_bounds(leaf, query)
-        assert (lower, upper) == posting_bounds(leaf, query)
+        assert (lower, upper) == leaf_bounds(entries, query)
         overlaps = [len(entry.cells & query) for entry in entries]
         # Lemma 2: no entry can overlap the query on more cells than UB.
         assert max(overlaps) <= upper
         # Lemma 3: every entry overlaps the query on at least LB cells.
         assert min(overlaps) >= lower
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(cells_strategy, min_size=1, max_size=6), cells_strategy)
+    def test_overlaps_are_the_exact_positive_intersections(self, entry_cells, query_cells):
+        entries = [node(f"d{i}", cells) for i, cells in enumerate(entry_cells)]
+        leaf = make_leaf(entries)
+        _, _, shared = leaf.bounds(as_cell_array(query_cells))
+        expected = {
+            entry.dataset_id: len(entry.cells & query_cells)
+            for entry in entries
+            if entry.cells & query_cells
+        }
+        assert dict(leaf.overlaps(shared)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(cells_strategy, min_size=1, max_size=5), cells_strategy)
@@ -115,6 +132,7 @@ class TestRandomisedAgainstDITSLeaves:
         query = nodes[0]
         for leaf in index.leaves():
             lower, upper = leaf_intersection_bounds(leaf, query.cells)
+            assert (lower, upper) == leaf_bounds(leaf.entries, query.cells)
             overlaps = [len(entry.cells & query.cells) for entry in leaf.entries]
             assert min(overlaps) >= lower
             assert max(overlaps) <= upper

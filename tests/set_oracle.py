@@ -10,6 +10,9 @@ Python ``set``, a drop-in for :class:`~repro.search.coverage.GreedyCover`.
 ``with`` block, so one search path runs once on each arithmetic;
 :func:`arithmetic` picks by the parity suites' ``"vector"`` / ``"frozenset"``
 parameter names.  Nothing under ``src/`` can select the oracle.
+
+:func:`leaf_bounds` and :func:`assert_leaf_postings` are Definition 14 and
+Lemmas 2/3 on frozensets, the reference for a DITS-L leaf's CSR postings.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Iterable, Iterator
 
 from repro.core.dataset import DatasetNode
 from repro.core.problems import CoverageResult, ScoredDataset
+from repro.index.dits import LeafNode
 from repro.search.coverage import CoverageSearchStats, GreedyCover
 
 ARITHMETICS = ("vector", "frozenset")
@@ -92,3 +96,31 @@ def set_arithmetic() -> Iterator[None]:
 def arithmetic(name: str) -> "contextlib.AbstractContextManager[None]":
     """``"vector"``: the product as is; ``"frozenset"``: :func:`set_arithmetic`."""
     return set_arithmetic() if name == "frozenset" else contextlib.nullcontext()
+
+
+def leaf_bounds(entries: Iterable[DatasetNode], query: frozenset[int]) -> tuple[int, int]:
+    """``(lower, upper)``: the query cells every entry holds, and any entry holds."""
+    cell_sets = [entry.cells for entry in entries]
+    return len(query.intersection(*cell_sets)), len(query & frozenset().union(*cell_sets))
+
+
+def assert_leaf_postings(leaf: LeafNode) -> None:
+    """``leaf``'s postings are the inverted index of its entries' frozensets.
+
+    ``cells`` is the union of the entries' cells (sorted), each cell's
+    ``owners`` slice names exactly the entries holding it, and ``cells[full]``
+    is the entries' intersection.
+    """
+    expected: dict[int, list[str]] = {}
+    for entry in leaf.entries:
+        for cell in entry.cells:
+            expected.setdefault(cell, []).append(entry.dataset_id)
+    cells = leaf.cells.tolist()
+    assert cells == sorted(expected)
+    assert leaf.indptr.tolist()[-1] == len(leaf.owners) and len(leaf.indptr) == len(cells) + 1
+    for position, cell in enumerate(cells):
+        owners = leaf.owners[leaf.indptr[position] : leaf.indptr[position + 1]].tolist()
+        assert sorted(leaf.entries[o].dataset_id for o in owners) == sorted(expected[cell])
+    cell_sets = [entry.cells for entry in leaf.entries]
+    intersection = frozenset.intersection(*cell_sets) if cell_sets else frozenset()
+    assert frozenset(leaf.cells[leaf.full].tolist()) == intersection
