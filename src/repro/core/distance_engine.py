@@ -42,8 +42,9 @@ Two structural facts are additionally exploited:
 Cache coherence is by *identity*: an entry is only reused while the node's
 ``cells_array`` is the same object that populated it.  Rebuilding a
 dataset under the same id (a refreshed source, a different grid resolution,
-CoverageSearch's per-iteration ``__merged_query__`` node) therefore can never
-serve stale geometry — the entry is invalidated and recomputed.
+the per-request query node each contacted source builds under one id)
+therefore can never serve stale geometry — the entry is invalidated and
+recomputed.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class DistanceEngine:
                     self._cache.move_to_end(key)
                     return entry
                 # Same id, different cell set (refreshed dataset, another
-                # grid resolution, a rebuilt merged node): never reuse.
+                # grid resolution, another source's query node): never reuse.
                 self._invalidations += 1
             self._misses += 1
         coords = cell_coords_of_array(cells_array)
@@ -242,7 +243,7 @@ class DistanceEngine:
 
         Takes the already-resolved geometry so each batched kernel performs
         exactly one cache access for the query node (a node without a stable
-        id, like CoverageSearch's merged query, is then looked up at most
+        id, like a source's per-request query node, is then looked up at most
         once per call even under concurrent searches).  With ``bound`` the
         KD-tree search is pruned at that radius and points with no neighbour
         inside it report ``inf``.  Small workloads take the brute-force

@@ -40,7 +40,6 @@ from typing import Callable, Collection, Mapping, TypeVar
 import numpy as np
 
 from repro.core.dataset import DatasetNode
-from repro.core.distance_engine import get_engine
 from repro.core.errors import SourceNotFoundError
 from repro.core.geometry import BoundingBox
 from repro.core.grid import Grid
@@ -51,7 +50,7 @@ from repro.distributed.messages import CoverageRequest, OverlapRequest
 from repro.distributed.source import DataSource, grid_rect_to_geo
 from repro.index.dits_global import SourceSummary
 from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
-from repro.search.coverage import GreedyCover
+from repro.search.coverage import GreedyCover, MemberConnectivity
 from repro.utils.heaps import CanonicalTopK
 
 __all__ = ["DataCenter", "DistributionPolicy"]
@@ -261,42 +260,32 @@ class DataCenter:
     ) -> CoverageResult:
         """Final greedy pass over the union of per-source proposals.
 
-        The result set only ever grows, so connectivity against it is
-        monotone: a candidate proven connected once stays connected, and a
-        candidate that failed against earlier members only needs testing
-        against the member added last round.  Each round's untested
-        candidates are settled with the Lemma 4 bounds where decisive and one
-        batched δ-bounded distance-engine call for the remainder, instead of
-        per-candidate exact distances.  Selections and tie-breaks are
-        identical to the exhaustive per-round rescan.
+        The proposals are taken in descending size, so the size filter skips
+        the most, and connectivity to the result set (query plus chosen) is
+        checked only for a round's would-be winner, member by member
+        (:class:`~repro.search.coverage.MemberConnectivity`).  Selections
+        and tie-breaks equal those of filtering each round's proposals to
+        the connected ones first.
         """
-        # Ascending id, the order GreedyCover.pick takes its candidates in.
-        remaining = {
-            dataset_id: DatasetNode.from_cells(dataset_id, proposals[dataset_id][1], self.grid)
-            for dataset_id in sorted(proposals)
-            if len(proposals[dataset_id][1])
-        }
+        remaining = sorted(
+            (
+                DatasetNode.from_cells(dataset_id, cells, self.grid)
+                for dataset_id, (_, cells) in proposals.items()
+                if len(cells)
+            ),
+            key=lambda node: (-node.coverage, node.dataset_id),
+        )
         cover = GreedyCover(query)
-        connected_ids: set[str] = set()
-        last_member = query
+        connectivity = MemberConnectivity(query, delta)
 
         for _ in range(k):
-            untested = [
-                node for dataset_id, node in remaining.items() if dataset_id not in connected_ids
-            ]
-            if untested:
-                mask = get_engine().connected_mask(last_member, untested, delta)
-                connected_ids.update(
-                    node.dataset_id for node, ok in zip(untested, mask) if ok
-                )
-            picked = cover.pick(
-                node for dataset_id, node in remaining.items() if dataset_id in connected_ids
-            )
+            picked = cover.pick(remaining, connected=connectivity)
             if picked is None:
                 break
-            last_member, gain = picked
-            del remaining[last_member.dataset_id]
-            cover.add(last_member, gain, source_id=proposals[last_member.dataset_id][0])
+            member, gain = picked
+            remaining = [node for node in remaining if node is not member]
+            cover.add(member, gain, source_id=proposals[member.dataset_id][0])
+            connectivity.add(member)
 
         return cover.result()
 

@@ -64,7 +64,7 @@ def random_nodes(count: int, seed: int, spread: int = 220) -> list[DatasetNode]:
     return nodes
 
 
-def reference_find_connected(root, query, delta, exclude=None, known=()):
+def reference_find_connected(root, query, delta, exclude=None):
     """The pre-PR-4 per-entry FindConnectSet loop (pairwise exact distances)."""
     excluded = exclude or set()
     connected = []
@@ -91,9 +91,6 @@ def reference_find_connected(root, query, delta, exclude=None, known=()):
         if node.is_leaf():
             for entry in node.entries:
                 if entry.dataset_id in excluded:
-                    continue
-                if entry.dataset_id in known:
-                    connected.append(entry)
                     continue
                 entry_lower, entry_upper = node_distance_bounds(entry, query)
                 if entry_lower > delta:
@@ -122,20 +119,16 @@ class TestFindConnectSetParity:
         # Same datasets in the same traversal order, not merely the same set.
         assert [n.dataset_id for n in got] == [n.dataset_id for n in expected]
 
-    def test_exclude_and_known_connected_respected(self, backend):
+    def test_exclude_respected(self, backend):
         nodes = random_nodes(40, seed=2)
         index = DITSLocalIndex(leaf_capacity=4)
         index.build(nodes)
         query = nodes[0]
         exclude = {nodes[1].dataset_id, nodes[2].dataset_id}
-        known = {nodes[5].dataset_id}
-        got = find_connected_nodes(
-            index.root, query, 10.0, exclude=exclude, known_connected=known
-        )
-        expected = reference_find_connected(
-            index.root, query, 10.0, exclude=exclude, known=known
-        )
+        got = find_connected_nodes(index.root, query, 10.0, exclude=exclude)
+        expected = reference_find_connected(index.root, query, 10.0, exclude=exclude)
         assert [n.dataset_id for n in got] == [n.dataset_id for n in expected]
+        assert exclude.isdisjoint(n.dataset_id for n in got)
 
     def test_result_independent_of_cache_pressure(self, backend):
         nodes = random_nodes(50, seed=3)

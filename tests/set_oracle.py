@@ -18,7 +18,7 @@ Lemmas 2/3 on frozensets, the reference for a DITS-L leaf's CSR postings.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.dataset import DatasetNode
 from repro.core.problems import CoverageResult, ScoredDataset
@@ -37,23 +37,33 @@ class SetGreedyCover:
         self._entries: list[ScoredDataset] = []
 
     def pick(
-        self, candidates: Iterable[DatasetNode], stats: CoverageSearchStats | None = None
+        self,
+        candidates: Iterable[DatasetNode],
+        stats: CoverageSearchStats | None = None,
+        connected: Callable[[DatasetNode], bool] | None = None,
     ) -> tuple[DatasetNode, int] | None:
         best_node: DatasetNode | None = None
         best_gain = 0
         for candidate in candidates:
-            if len(candidate.cells) <= best_gain:
+            size = len(candidate.cells)
+            if size < best_gain or (
+                size == best_gain
+                and (best_node is None or candidate.dataset_id > best_node.dataset_id)
+            ):
                 if stats is not None:
                     stats.gain_skips += 1
                 continue
             if stats is not None:
                 stats.gain_evaluations += 1
             gain = len(candidate.cells - self._covered_set)
-            if gain > best_gain or (
-                gain == best_gain
-                and best_node is not None
-                and candidate.dataset_id < best_node.dataset_id
-            ):
+            if (
+                gain > best_gain
+                or (
+                    gain == best_gain
+                    and best_node is not None
+                    and candidate.dataset_id < best_node.dataset_id
+                )
+            ) and (connected is None or connected(candidate)):
                 best_gain = gain
                 best_node = candidate
         return None if best_node is None else (best_node, best_gain)
