@@ -135,7 +135,6 @@ FIGURES = {
         experiments.fig23_global_index_churn,
         {
             "source_counts": tuple(_churn(count, 50) for count in (250, 1000, 2000)),
-            "shard_counts": (4, 16),
             "churn_ops": _churn(200, 20),
             "query_count": _churn(50, 10),
         },

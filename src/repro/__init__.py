@@ -41,12 +41,7 @@ from repro.core import (
     SpatialDataset,
 )
 from repro.distributed import DataCenter, DataSource, MultiSourceFramework
-from repro.index import (
-    DITSLocalIndex,
-    RebalancePolicy,
-    ShardedDITSGlobalIndex,
-    ShardPolicy,
-)
+from repro.index import DITSGlobalIndex, DITSLocalIndex, RebalancePolicy
 from repro.search import CoverageSearch, OverlapSearch
 
 __version__ = "1.0.0"
@@ -57,6 +52,7 @@ __all__ = [
     "CoverageQuery",
     "CoverageResult",
     "CoverageSearch",
+    "DITSGlobalIndex",
     "DITSLocalIndex",
     "DataCenter",
     "DataSource",
@@ -68,8 +64,6 @@ __all__ = [
     "OverlapSearch",
     "Point",
     "RebalancePolicy",
-    "ShardPolicy",
-    "ShardedDITSGlobalIndex",
     "SpatialDataset",
     "__version__",
 ]

@@ -3,7 +3,7 @@
 Shared mutable attributes are declared with a ``# guarded-by: <lock>``
 comment on the ``self.<attr> = ...`` statement that creates them (see
 ``SimulatedChannel.stats``, ``DistanceEngine._cache``,
-``ShardedDITSGlobalIndex._summaries``).  This pass then verifies, purely
+``DITSGlobalIndex._rows``).  This pass then verifies, purely
 lexically, that every other read or write of the attribute sits inside a
 ``with self.<lock>:`` block of the same method — the static complement of
 the runtime thread-safety tests.
@@ -11,8 +11,8 @@ the runtime thread-safety tests.
 Scope and deliberate limits (catalogued in ``docs/invariants.md``):
 
 * Only ``self.<attr>`` accesses are tracked; cross-object accesses
-  (``shard.summaries`` mutated by the owner of the shard under
-  ``shard.lock``) are outside the lexical model.
+  (``other.attr`` mutated under ``other.lock``) are outside the lexical
+  model.
 * ``__init__``/``__post_init__`` are exempt — the object is not shared
   until construction returns.
 * A nested function or lambda does not inherit the enclosing ``with``: it

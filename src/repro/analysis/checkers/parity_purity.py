@@ -1,10 +1,10 @@
 """Parity-purity checker: bit-identical hot paths stay deterministic.
 
 The repo's performance work carries hard parity contracts — serial vs
-parallel dispatch, any DITS-G shard count vs the flat predicate, fresh
+parallel dispatch, the DITS-G table vs the flat predicate, fresh
 rebuild vs incremental churn all must return *bit-identical* answers.
 Functions under such a contract are registered with a ``# parity-critical``
-marker on their ``def`` line (greedy rounds, shard candidate generation,
+marker on their ``def`` line (greedy rounds, DITS-G candidate generation,
 ``CanonicalTopK``); this pass rejects the nondeterminism sources that have
 historically broken exactly these guarantees:
 

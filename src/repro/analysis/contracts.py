@@ -14,11 +14,11 @@ implementation together), plus the suppression syntax:
     On a ``def`` line: declares that callers invoke this method with
     ``<lock>`` already held, so guarded accesses inside it are considered
     protected.  (The checker cannot verify the callers; the annotation is
-    the documented contract, e.g. ``ShardedDITSGlobalIndex._place``.)
+    the documented contract, e.g. ``DITSGlobalIndex._publish``.)
 
 ``# parity-critical``
     On a ``def`` line: registers the function as a bit-identical hot path
-    (greedy rounds, shard candidate generation, ``CanonicalTopK``); the
+    (greedy rounds, DITS-G candidate generation, ``CanonicalTopK``); the
     parity-purity checker then rejects nondeterminism sources in its body.
 
 ``# repro-lint: disable=<code>[,<code>...]``

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 import time
 import zlib
 from typing import Sequence
@@ -31,8 +32,7 @@ from repro.data.sources import SOURCE_PROFILES, build_source_datasets
 from repro.distributed.center import DistributionPolicy
 from repro.distributed.framework import MultiSourceFramework
 from repro.index import DATASET_INDEX_CLASSES
-from repro.index.dits_global import SourceSummary
-from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+from repro.index.dits_global import DITSGlobalIndex, SourceSummary, summary_may_contain
 from repro.index.dits import DITSLocalIndex
 from repro.index.stats import index_memory_bytes
 from repro.search.coverage import CoverageSearch
@@ -365,48 +365,90 @@ def _candidate_checksum(index, rects: Sequence[BoundingBox], delta_geo: float) -
     return crc
 
 
+class _OneSummaryTree:
+    """The paper's single DITS-G tree, rebuilt on the first query after a change.
+
+    The baseline of Fig. 23.  The tree splits on the wider axis at the pivot
+    median down to four summaries per leaf, and a query descends it on a
+    node bound never stricter than
+    :func:`~repro.index.dits_global.summary_may_contain`, so it answers
+    exactly what the table answers.
+    """
+
+    def __init__(self) -> None:
+        self.rebuild_count = 0
+        self._summaries: dict[str, SourceSummary] = {}
+        self._root = None  # None while stale
+
+    def register_all(self, summaries) -> None:
+        self._summaries.update((s.source_id, s) for s in summaries)
+        self._root = None
+
+    def register(self, summary: SourceSummary) -> None:
+        self.register_all((summary,))
+
+    def unregister(self, source_id: str) -> None:
+        del self._summaries[source_id]
+        self._root = None
+
+    def candidate_sources(self, query_rect: BoundingBox, delta_geo: float = 0.0):
+        if self._root is None and self._summaries:
+            self._root = self._build(list(self._summaries.values()))
+            self.rebuild_count += 1
+        pivot, radius = query_rect.center, query_rect.radius
+        found: list[SourceSummary] = []
+        stack = [self._root] if self._summaries else []
+        while stack:
+            rect, children, summaries = stack.pop()
+            # A summary under ``rect`` has its pivot inside it and a radius
+            # of at most ``rect.radius``: this bounds its own lower bound.
+            lower = max(rect.min_distance_to_point(pivot) - rect.radius - radius, 0.0)
+            if rect.intersects(query_rect) or (
+                delta_geo > 0 and (lower <= delta_geo or math.isclose(lower, delta_geo))
+            ):
+                stack.extend(children)
+                found.extend(
+                    s for s in summaries
+                    if summary_may_contain(s.rect, query_rect, pivot, radius, delta_geo)
+                )
+        return sorted(found, key=lambda s: s.source_id)
+
+    def _build(self, summaries: list[SourceSummary]):
+        rect = BoundingBox.union_of(s.rect for s in summaries)
+        if len(summaries) <= 4:
+            return rect, (), summaries
+        axis = 0 if rect.width >= rect.height else 1
+        summaries.sort(key=lambda s: (s.pivot.as_tuple()[axis], s.source_id))
+        middle = len(summaries) // 2
+        return rect, (self._build(summaries[:middle]), self._build(summaries[middle:])), ()
+
+
 def fig23_global_index_churn(
     source_counts: Sequence[int] = (250, 1000, 2000),
-    shard_counts: Sequence[int] = (4, 16),
     churn_ops: int = 200,
     query_count: int = 50,
     delta_geo: float = 1.0,
     seed: int = 7,
 ) -> list[dict]:
-    """DITS-G registration churn and pruning latency, one shard vs many.
+    """DITS-G registration churn and pruning latency: one tree vs the summary table.
 
-    The baseline row, ``sharded-1``, keeps every summary in one tree and
-    defers rebuilds to the next query: the paper's single DITS-G tree.  For
-    every source count and index variant the driver measures
+    The baseline row, ``one-tree``, is the paper's single DITS-G tree,
+    rebuilt on the first query after a change; ``table`` is
+    :class:`~repro.index.dits_global.DITSGlobalIndex`.  For every source
+    count and variant the driver measures
 
     * ``register_ms`` — bulk-registering all sources plus the first query
       (the initial build);
-    * ``churn_ms`` — ``churn_ops`` interleaved (mutate, query) steps, the
-      worst case for rebuild cost: the one-shard index reconstructs its
-      whole tree after every mutation, the many-shard index only the
-      touched shard;
+    * ``churn_ms`` — ``churn_ops`` interleaved (unregister, register, query)
+      steps, the worst case for rebuild cost: the tree is rebuilt whole
+      after every step, the table copies its arrays once per change;
     * ``prune_ms`` — ``query_count`` candidate queries on a quiescent index;
     * ``checksum`` — CRC over the ordered candidate lists, identical across
       variants by construction (asserted by the fig23 benchmark test).
-
-    ``shard_counts`` must not contain 1: that label is the baseline's.
     """
-    if 1 in shard_counts:
-        raise ValueError("shard_counts must not contain 1; sharded-1 is the baseline")
-
-    def variants():
-        yield "sharded-1", lambda: ShardedDITSGlobalIndex(
-            ShardPolicy(shard_count=1, defer_rebuild=True)
-        )
-        for count in shard_counts:
-            yield (
-                f"sharded-{count}",
-                lambda c=count: ShardedDITSGlobalIndex(ShardPolicy(shard_count=c)),
-            )
-
     rows = []
     for sources in source_counts:
-        for label, factory in variants():
+        for label, factory in (("one-tree", _OneSummaryTree), ("table", DITSGlobalIndex)):
             rng = np.random.default_rng(seed)
             summaries = _synthetic_summaries(sources, rng)
             probe_rects = _churn_query_rects(query_count, rng)

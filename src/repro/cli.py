@@ -22,9 +22,9 @@ corpus on disk:
 
 ``python -m repro.cli federate``
     multi-source mode: partition the corpus across several simulated data
-    sources behind a data center with a sharded DITS-G global index, run an
-    OJSP or CJSP query end to end and report the per-source results,
-    global-index shard statistics and simulated communication cost.
+    sources behind a data center with a DITS-G global index, run an OJSP or
+    CJSP query end to end and report the per-source results, global-index
+    statistics and simulated communication cost.
 
 ``python -m repro.cli lint``
     run the :mod:`repro.analysis` static checkers (lock discipline, unsafe
@@ -54,7 +54,6 @@ from repro.data.loaders import load_source_csv, save_source_csv
 from repro.data.sources import SOURCE_PROFILES, build_source_datasets
 from repro.distributed.framework import MultiSourceFramework
 from repro.index.dits import DITSLocalIndex
-from repro.index.dits_global_sharded import ShardPolicy
 from repro.index.stats import global_index_stats, local_index_stats
 from repro.search.coverage import CoverageSearch
 from repro.search.overlap import OverlapSearch
@@ -100,15 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--leaf-capacity", type=int, default=30)
 
     federate = subparsers.add_parser(
-        "federate", help="multi-source search through a sharded DITS-G data center"
+        "federate", help="multi-source search through a DITS-G data center"
     )
     federate.add_argument("--corpus", type=Path, required=True,
                           help="directory of dataset CSV files (columns x,y)")
     federate.add_argument("--query", type=Path, required=True, help="query CSV file")
     federate.add_argument("--sources", type=int, default=3,
                           help="number of simulated data sources the corpus is split across")
-    federate.add_argument("--shards", type=int, default=4,
-                          help="DITS-G shard count at the data center (default 4)")
     federate.add_argument("--theta", type=int, default=12)
     federate.add_argument("--k", type=int, default=5)
     federate.add_argument("--leaf-capacity", type=int, default=30)
@@ -242,13 +239,10 @@ def _command_stats(args: argparse.Namespace) -> int:
 def _command_federate(args: argparse.Namespace) -> int:
     if args.sources < 1:
         raise SystemExit(f"--sources must be at least 1, got {args.sources}")
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be at least 1, got {args.shards}")
     corpus = _load_corpus(args.corpus)
     framework = MultiSourceFramework(
         theta=args.theta,
         leaf_capacity=args.leaf_capacity,
-        shard_policy=ShardPolicy(shard_count=args.shards),
     )
     try:
         source_count = min(args.sources, len(corpus))
@@ -283,22 +277,8 @@ def _command_federate(args: argparse.Namespace) -> int:
         print(format_table(rows, title=title))
 
         index_stats = global_index_stats(framework.center.global_index)
-        print(
-            format_table(
-                [
-                    {
-                        "sources": index_stats["sources"],
-                        "shards": index_stats["shard_count"],
-                        "shard_sizes": "/".join(
-                            str(size) for size in index_stats["shard_sizes"]
-                        ),
-                        "tree_nodes": index_stats["tree_nodes"],
-                        "rebuilds": index_stats["rebuilds"],
-                    }
-                ],
-                title="DITS-G global index",
-            )
-        )
+        del index_stats["schema"]
+        print(format_table([index_stats], title="DITS-G global index"))
         comm = framework.communication_stats()
         print(
             f"communication: {comm.messages_sent} messages, {comm.total_bytes} bytes, "

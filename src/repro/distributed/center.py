@@ -23,11 +23,10 @@ so parallel and serial dispatch return bit-identical results and byte totals.
 OJSP answers are merged canonically — score desc, then dataset id asc, the
 order each DITS-L source already ranks by — so with unique dataset ids the
 positive-score federated answer equals one DITS-L over the union corpus,
-whatever the registration order or DITS-G sharding.
+whatever the registration order.
 
-DITS-G is :class:`~repro.index.dits_global_sharded.ShardedDITSGlobalIndex`:
-source registration only rebuilds the touched shard, and shard count 1 keeps
-every summary in one tree.
+DITS-G is :class:`~repro.index.dits_global.DITSGlobalIndex`: a source
+registration appends, replaces or removes one row of its summary table.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from repro.distributed.channel import SimulatedChannel
 from repro.distributed.executor import ExecutionPolicy, SourceDispatcher
 from repro.distributed.messages import CoverageRequest, OverlapRequest
 from repro.distributed.source import DataSource, grid_rect_to_geo
-from repro.index.dits_global import SourceSummary
-from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+from repro.index.dits_global import DITSGlobalIndex, SourceSummary
 from repro.search.coverage import GreedyCover, MemberConnectivity
 from repro.utils.heaps import CanonicalTopK
 
@@ -116,7 +114,6 @@ class DataCenter:
         channel: SimulatedChannel | None = None,
         policy: DistributionPolicy = DistributionPolicy(),
         execution: ExecutionPolicy | None = None,
-        shard_policy: ShardPolicy | None = None,
     ) -> None:
         self.grid = grid
         self.channel = channel if channel is not None else SimulatedChannel()
@@ -125,7 +122,7 @@ class DataCenter:
         self._sources_lock = threading.Lock()
         self._query_counter = itertools.count()
         self._dispatcher = SourceDispatcher(execution)
-        self._global_index = ShardedDITSGlobalIndex(policy=shard_policy)
+        self._global_index = DITSGlobalIndex()
 
     @property
     def execution(self) -> ExecutionPolicy:
@@ -185,8 +182,8 @@ class DataCenter:
             raise SourceNotFoundError(source_id) from exc
 
     @property
-    def global_index(self) -> ShardedDITSGlobalIndex:
-        """The DITS-G global index (sharded; shard count 1 = one tree)."""
+    def global_index(self) -> DITSGlobalIndex:
+        """The DITS-G global index."""
         return self._global_index
 
     # ------------------------------------------------------------------ #

@@ -4,7 +4,9 @@
 it owns the data center, creates and registers data sources, accepts queries
 as raw point collections or pre-gridded cell sets, and returns aggregated
 OJSP/CJSP results together with the communication statistics accumulated by
-the simulated channel.
+the simulated channel.  The center routes each query through DITS-G, one
+table of the sources' root summaries
+(:class:`~repro.index.dits_global.DITSGlobalIndex`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from repro.distributed.channel import ChannelStats, SimulatedChannel
 from repro.distributed.executor import ExecutionPolicy
 from repro.distributed.source import DataSource
 from repro.index.dits_rebalance import RebalancePolicy
-from repro.index.dits_global_sharded import ShardPolicy
 
 __all__ = ["MultiSourceFramework"]
 
@@ -47,11 +48,6 @@ class MultiSourceFramework:
         ``None`` keeps the default concurrent fan-out; pass
         ``ExecutionPolicy.serial()`` for the sequential loop.  Both modes
         return bit-identical results.
-    shard_policy:
-        How DITS-G partitions source summaries across shards
-        (:class:`~repro.index.dits_global_sharded.ShardPolicy`).  ``None``
-        keeps the default policy; every shard count returns bit-identical
-        candidates and results.
     rebalance:
         DITS-L rebalancing policy applied by sources created via
         :meth:`add_source` / :meth:`add_source_from_nodes` (``None`` keeps
@@ -67,7 +63,6 @@ class MultiSourceFramework:
         policy: DistributionPolicy = DistributionPolicy(),
         bandwidth_bytes_per_second: float = 1_048_576,
         execution: ExecutionPolicy | None = None,
-        shard_policy: ShardPolicy | None = None,
         rebalance: RebalancePolicy | None = None,
     ) -> None:
         self.grid = Grid(theta=theta, space=space) if space is not None else Grid(theta=theta)
@@ -79,7 +74,6 @@ class MultiSourceFramework:
             channel=self.channel,
             policy=policy,
             execution=execution,
-            shard_policy=shard_policy,
         )
 
     def close(self) -> None:

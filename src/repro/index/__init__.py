@@ -6,12 +6,9 @@
 * :mod:`repro.index.dits_rebalance` — churn-safe incremental rebalancing for
   DITS-L: scapegoat-style amortized partial rebuilds, leaf underflow merging
   and deferred MBR refits.
-* :mod:`repro.index.dits_global` — DITS-G's building blocks: the root
-  summaries reported by each source, the summary tree and its pruning
-  predicate.
-* :mod:`repro.index.dits_global_sharded` — DITS-G, the global index at the
-  data center, partitioned into z-order shards with incremental
-  registration.
+* :mod:`repro.index.dits_global` — DITS-G, the global index at the data
+  center: the root summaries reported by each source, kept as one
+  copy-on-write table, and their pruning predicate.
 * :mod:`repro.index.quadtree` — QuadTree baseline over individual cells.
 * :mod:`repro.index.rtree` — R-tree baseline over dataset MBRs.
 * :mod:`repro.index.inverted` — STS3-style plain inverted index.
@@ -23,8 +20,7 @@
 
 from repro.index.base import DatasetIndex
 from repro.index.dits import DITSLocalIndex, InternalNode, LeafNode, TreeNode
-from repro.index.dits_global import SourceSummary
-from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+from repro.index.dits_global import DITSGlobalIndex, SourceSummary
 from repro.index.dits_rebalance import RebalancePolicy, RebalanceStats
 from repro.index.inverted import STS3Index
 from repro.index.josie import JosieIndex
@@ -34,6 +30,7 @@ from repro.index.stats import global_index_stats, index_memory_bytes, local_inde
 
 __all__ = [
     "DATASET_INDEX_CLASSES",
+    "DITSGlobalIndex",
     "DITSLocalIndex",
     "DatasetIndex",
     "InternalNode",
@@ -44,8 +41,6 @@ __all__ = [
     "RebalancePolicy",
     "RebalanceStats",
     "STS3Index",
-    "ShardPolicy",
-    "ShardedDITSGlobalIndex",
     "SourceSummary",
     "TreeNode",
     "global_index_stats",

@@ -121,23 +121,22 @@ class LeafNode(TreeNode):
     ``cells_array``: ``cells`` holds the leaf's distinct cells (sorted),
     the postings of ``cells[i]`` are the entry ordinals
     ``owners[indptr[i]:indptr[i + 1]]`` (ascending), and ``full`` marks the
-    cells every entry posts.  A leaf holds at most ``capacity`` entries, so
-    every mutation simply rebuilds the arrays; an in-place update swaps the
-    entry with :meth:`replace_entry`, one rebuild instead of two.
+    cells every entry posts.  A leaf holds at most the index's
+    ``leaf_capacity`` entries, so every mutation simply rebuilds the arrays;
+    an in-place update swaps the entry with :meth:`replace_entry`, one
+    rebuild instead of two.
     """
 
-    __slots__ = ("entries", "capacity", "cells", "indptr", "owners", "full")
+    __slots__ = ("entries", "cells", "indptr", "owners", "full")
 
     def __init__(
         self,
         rect: BoundingBox,
         entries: list[DatasetNode],
-        capacity: int,
         parent: "InternalNode | None" = None,
     ) -> None:
         super().__init__(rect, parent)
         self.entries = list(entries)
-        self.capacity = capacity
         self._index_entries()
 
     def is_leaf(self) -> bool:
@@ -293,7 +292,7 @@ class DITSLocalIndex(DatasetIndex):
     ) -> TreeNode:
         rect = BoundingBox.union_of(entry.rect for entry in entries)
         if len(entries) <= self.leaf_capacity:
-            leaf = LeafNode(rect, entries, self.leaf_capacity, parent)
+            leaf = LeafNode(rect, entries, parent)
             for entry in entries:
                 self._leaf_of[entry.dataset_id] = leaf
             return leaf
@@ -313,7 +312,7 @@ class DITSLocalIndex(DatasetIndex):
     # ------------------------------------------------------------------ #
     def _insert_structure(self, node: DatasetNode) -> None:
         if self._root is None:
-            leaf = LeafNode(node.rect, [node], self.leaf_capacity, parent=None)
+            leaf = LeafNode(node.rect, [node], parent=None)
             self._root = leaf
             self._leaf_of[node.dataset_id] = leaf
             return
@@ -389,12 +388,10 @@ class DITSLocalIndex(DatasetIndex):
         left_leaf = LeafNode(
             BoundingBox.union_of(entry.rect for entry in left_entries),
             left_entries,
-            self.leaf_capacity,
         )
         right_leaf = LeafNode(
             BoundingBox.union_of(entry.rect for entry in right_entries),
             right_entries,
-            self.leaf_capacity,
         )
         for entry in left_entries:
             self._leaf_of[entry.dataset_id] = left_leaf

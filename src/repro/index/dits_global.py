@@ -1,45 +1,43 @@
-"""DITS-G building blocks: source summaries and the Section VI-A pruning tree.
+"""DITS-G: the data center's global index over source summaries.
 
 Each data source builds its own DITS-L and ships only its *root summary*
 (MBR, pivot, radius, dataset count) to the data center, converted to
 geographic coordinates so that sources gridded at different resolutions can
-coexist.  The data center arranges these summaries into the same kind of
-binary tree as DITS-L (without leaf inverted indexes) and uses it to answer
-one question: *which sources could possibly contain results for this query?*
+coexist.  DITS-G answers one question (Section VI-A): *which sources could
+possibly contain results for this query?*  A source whose MBR misses the
+query MBR cannot contribute to OJSP; for CJSP, neither can a source whose
+distance lower bound to the query exceeds the connectivity threshold.
 
-Pruning rules (Section VI-A):
-
-* a source whose MBR does not intersect the query MBR cannot contribute to
-  OJSP results;
-* for CJSP, a source whose distance lower bound to the query exceeds the
-  connectivity threshold ``delta`` cannot contain directly connected
-  datasets.
-
-The candidate set is *defined* as the set of summaries passing the
-per-summary predicate (:func:`summary_may_contain`); internal tree nodes are
-pruned with a bound (:func:`node_may_contain`) that is provably never
-stricter than any contained summary's predicate, so the answer does not
-depend on the shape of the tree.  That invariant lets the one DITS-G,
-:class:`~repro.index.dits_global_sharded.ShardedDITSGlobalIndex`, split the
-summaries into any number of trees (one per shard) and still return exactly
-the flat predicate's candidates.
+The candidate set is *defined* as the live summaries passing that predicate
+(:func:`summary_may_contain`).  :class:`DITSGlobalIndex` keeps them as one
+table and lets the scalar predicate decide every row a numpy mask keeps, so
+the answer is the predicate's by construction
+(``tests/index/test_dits_global_table.py`` checks it against
+``tests/summary_oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Iterator
 
+import numpy as np
+import numpy.typing as npt
+
+from repro.core.errors import SourceNotFoundError
 from repro.core.geometry import BoundingBox, Point
 
-__all__ = [
-    "SourceSummary",
-    "summary_may_contain",
-    "node_may_contain",
-    "build_summary_tree",
-]
+__all__ = ["DITSGlobalIndex", "SourceSummary", "summary_may_contain"]
 
-DEFAULT_FANOUT = 4
+#: Relative slack of the vectorised CJSP bound.  ``np.hypot`` and
+#: ``math.hypot`` may differ by an ulp and ``math.isclose`` admits a
+#: relative 1e-9 band, both far inside this margin.
+_MASK_SLACK = 1e-6
+
+_by_source_id = attrgetter("source_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,79 +58,6 @@ class SourceSummary:
         """Half of the MBR diagonal."""
         return self.rect.radius
 
-    def wire_payload(self) -> dict[str, object]:
-        """Compact payload for communication accounting."""
-        return {
-            "source": self.source_id,
-            "rect": self.rect.as_tuple(),
-            "count": self.dataset_count,
-        }
-
-
-class _GlobalNode:
-    """Internal/leaf node of the global tree over source summaries."""
-
-    __slots__ = ("rect", "pivot", "radius", "children", "summaries")
-
-    def __init__(
-        self,
-        rect: BoundingBox,
-        children: list["_GlobalNode"] | None = None,
-        summaries: list[SourceSummary] | None = None,
-    ) -> None:
-        self.rect = rect
-        self.pivot = rect.center
-        self.radius = rect.radius
-        self.children = children or []
-        self.summaries = summaries or []
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-def build_summary_tree(
-    summaries: list[SourceSummary], leaf_capacity: int
-) -> _GlobalNode:
-    """Build the DITS-G binary tree over ``summaries`` (non-empty)."""
-    rect = BoundingBox.union_of(summary.rect for summary in summaries)
-    if len(summaries) <= leaf_capacity:
-        return _GlobalNode(rect, summaries=summaries)
-    split_dim = 0 if rect.width >= rect.height else 1
-    ordered = sorted(
-        summaries,
-        key=lambda s: (s.pivot.x if split_dim == 0 else s.pivot.y, s.source_id),
-    )
-    midpoint = len(ordered) // 2
-    left = build_summary_tree(ordered[:midpoint], leaf_capacity)
-    right = build_summary_tree(ordered[midpoint:], leaf_capacity)
-    return _GlobalNode(rect, children=[left, right])
-
-
-def collect_candidates(
-    root: _GlobalNode | None,
-    query_rect: BoundingBox,
-    delta_geo: float,
-    out: list[SourceSummary],
-) -> None:
-    """Append every summary under ``root`` passing the pruning predicate."""
-    if root is None:
-        return
-    query_pivot = query_rect.center
-    query_radius = query_rect.radius
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node_may_contain(node.rect, query_rect, query_pivot, query_radius, delta_geo):
-            continue
-        if node.is_leaf():
-            for summary in node.summaries:
-                if summary_may_contain(
-                    summary.rect, query_rect, query_pivot, query_radius, delta_geo
-                ):
-                    out.append(summary)
-        else:
-            stack.extend(node.children)
-
 
 def summary_may_contain(
     rect: BoundingBox,
@@ -151,28 +76,140 @@ def summary_may_contain(
     return lower_bound <= delta_geo or math.isclose(lower_bound, delta_geo)
 
 
-def node_may_contain(
-    rect: BoundingBox,
+def _columns_of(summaries: Iterable[SourceSummary]) -> npt.NDArray[np.float64]:
+    """Rows of ``min_x, min_y, max_x, max_y, pivot_x, pivot_y, radius``."""
+    return np.array(
+        [(*s.rect.as_tuple(), *s.pivot.as_tuple(), s.radius) for s in summaries],
+        dtype=np.float64,
+    ).reshape(-1, 7)
+
+
+def _may_contain_mask(
+    columns: npt.NDArray[np.float64],
     query_rect: BoundingBox,
     query_pivot: Point,
     query_radius: float,
     delta_geo: float,
-) -> bool:
-    """Whether a tree node could hold a summary passing :func:`summary_may_contain`.
+) -> npt.NDArray[np.bool_]:
+    """Rows of ``columns`` that may pass :func:`summary_may_contain`; never fewer.
 
-    For any summary under the node, the summary's pivot lies inside the node
-    rect and its radius is at most the node radius, so
-    ``min_distance_to_point(query_pivot) - rect.radius - query_radius`` is a
-    lower bound on every contained summary's own pruning bound.  Descending
-    on this weaker bound guarantees the candidate set equals the flat
-    per-summary filter regardless of how the summaries are split into nodes
-    (or into shards).
+    The closed-box intersect is exact.  When ``delta_geo > 0`` the pivot
+    bound is widened by :data:`_MASK_SLACK`, so rounding can only add rows.
     """
-    if rect.intersects(query_rect):
-        return True
-    if delta_geo <= 0:
-        return False
-    lower_bound = max(
-        rect.min_distance_to_point(query_pivot) - rect.radius - query_radius, 0.0
+    min_x, min_y, max_x, max_y = query_rect.as_tuple()
+    mask = (
+        (columns[:, 2] >= min_x)
+        & (columns[:, 0] <= max_x)
+        & (columns[:, 3] >= min_y)
+        & (columns[:, 1] <= max_y)
     )
-    return lower_bound <= delta_geo or math.isclose(lower_bound, delta_geo)
+    if delta_geo > 0:
+        reach = np.hypot(columns[:, 4] - query_pivot.x, columns[:, 5] - query_pivot.y)
+        mask |= reach - columns[:, 6] - query_radius <= delta_geo + _MASK_SLACK * (
+            reach + columns[:, 6] + query_radius + delta_geo
+        )
+    return mask
+
+
+class DITSGlobalIndex:
+    """The DITS-G global index: a copy-on-write table of source summaries.
+
+    The table is a tuple of rows plus one numpy block of their rect, pivot
+    and radius columns.  A registration publishes a new table (an append, a
+    row replace or a swap-remove) under one lock; a query takes the current
+    table under that lock and reads it lock-free, so it never sees a
+    half-applied change.  ``rebuild_count`` counts the publishes.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._rows: tuple[SourceSummary, ...] = ()  # guarded-by: _lock
+        self._columns = _columns_of(())  # guarded-by: _lock
+        self._row_of: dict[str, int] = {}  # guarded-by: _lock
+        self.rebuild_count = 0  # guarded-by: _lock
+
+    def register(self, summary: SourceSummary) -> None:
+        """Register a source's summary, or refresh it if already registered."""
+        self.register_all((summary,))
+
+    def register_all(self, summaries: Iterable[SourceSummary]) -> None:
+        """Register or refresh several summaries in one publish."""
+        with self._lock:
+            rows = list(self._rows)
+            touched: dict[int, SourceSummary] = {}
+            for summary in summaries:
+                row = self._row_of.setdefault(summary.source_id, len(rows))
+                if row == len(rows):
+                    rows.append(summary)
+                touched[row] = rows[row] = summary
+            columns = np.empty((len(rows), 7))
+            columns[: len(self._rows)] = self._columns
+            columns[list(touched)] = _columns_of(touched.values())
+            self._publish(rows, columns)
+
+    def unregister(self, source_id: str) -> None:
+        """Remove a source: its row is swapped with the last one and dropped."""
+        with self._lock:
+            try:
+                row = self._row_of.pop(source_id)
+            except KeyError as exc:
+                raise SourceNotFoundError(source_id) from exc
+            rows = list(self._rows)
+            columns = self._columns[:-1].copy()
+            last = rows.pop()
+            if row < len(rows):
+                rows[row] = last
+                columns[row] = self._columns[-1]
+                self._row_of[last.source_id] = row
+            self._publish(rows, columns)
+
+    def _publish(  # repro-lint: holds=_lock
+        self, rows: list[SourceSummary], columns: npt.NDArray[np.float64]
+    ) -> None:
+        columns.flags.writeable = False
+        self._rows = tuple(rows)
+        self._columns = columns
+        self.rebuild_count += 1
+
+    def summary_of(self, source_id: str) -> SourceSummary:  # public-api: registry checks in tests
+        """The registered summary for ``source_id``."""
+        with self._lock:
+            try:
+                return self._rows[self._row_of[source_id]]
+            except KeyError as exc:
+                raise SourceNotFoundError(source_id) from exc
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._rows)
+
+    def candidate_sources(  # parity-critical
+        self,
+        query_rect: BoundingBox,
+        delta_geo: float = 0.0,
+    ) -> list[SourceSummary]:
+        """Sources whose region could contain OJSP/CJSP results, by ``source_id``.
+
+        ``query_rect`` is the query's MBR in geographic coordinates.
+        ``delta_geo`` is the connectivity threshold in geographic units:
+        ``0`` keeps only sources whose MBR intersects the query (the OJSP
+        rule); a positive value also keeps sources whose pivot-distance
+        lower bound to the query is within the threshold (the CJSP rule).
+        """
+        with self._lock:
+            rows, columns = self._rows, self._columns
+        pivot, radius = query_rect.center, query_rect.radius
+        mask = _may_contain_mask(columns, query_rect, pivot, radius, delta_geo)
+        candidates = [
+            rows[row]
+            for row in np.flatnonzero(mask)
+            if summary_may_contain(rows[row].rect, query_rect, pivot, radius, delta_geo)
+        ]
+        candidates.sort(key=_by_source_id)
+        return candidates
+
+    def all_summaries(self) -> Iterator[SourceSummary]:
+        """Iterate over every registered summary in id order (broadcast baselines)."""
+        with self._lock:
+            rows = self._rows
+        yield from sorted(rows, key=_by_source_id)

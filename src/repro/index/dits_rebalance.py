@@ -29,8 +29,7 @@ guarantees under churn with three cooperating mechanisms:
 * **Deferred refits** — with ``RebalancePolicy(deferred_refit=True)`` the
   per-mutation MBR *re-tightening* walk is skipped: shrinking mutations only
   mark their root-to-leaf path dirty and the tightening runs once, bottom-up
-  over the dirty region, at the next query (mirroring the deferred per-shard
-  rebuilds of :mod:`repro.index.dits_global_sharded`).  MBRs are kept
+  over the dirty region, at the next query.  MBRs are kept
   *conservative* (never smaller than their content) throughout the burst —
   inserts still grow rects on the way down — so a flush restores exactly the
   rects an eager refit would have maintained.

@@ -14,7 +14,7 @@ from repro.core.distance_engine import DistanceEngine, get_engine
 from repro.core.geometry import BoundingBox
 from repro.index.base import DatasetIndex
 from repro.index.dits import DITSLocalIndex
-from repro.index.dits_global_sharded import ShardedDITSGlobalIndex
+from repro.index.dits_global import DITSGlobalIndex
 from repro.index.inverted import STS3Index
 from repro.index.josie import JosieIndex
 from repro.index.quadtree import QuadTreeIndex
@@ -39,7 +39,7 @@ _JOSIE_POSTING_BYTES = 20      # dataset reference + position + size
 _CELL_KEY_BYTES = 8            # one cell ID key
 _DATASET_ENTRY_BYTES = 48      # dataset node reference stored in a leaf
 _QUAD_ITEM_BYTES = 24          # (cell, dataset, position) item
-_SUMMARY_BYTES = 56            # source id reference + MBR + dataset count
+_SUMMARY_BYTES = 112           # summary (id reference + MBR + count) + its 7-float table row
 
 
 def index_memory_bytes(index: DatasetIndex) -> int:
@@ -131,20 +131,13 @@ def local_index_stats(index: DITSLocalIndex) -> dict[str, object]:
     return dict(sorted(stats.items()))
 
 
-def global_index_stats(index: ShardedDITSGlobalIndex) -> dict[str, object]:
-    """Shape and footprint of the DITS-G index, for dashboards and the CLI.
-
-    Includes the shard count and the per-shard source distribution.
-    """
-    node_count = index.node_count()
+def global_index_stats(index: DITSGlobalIndex) -> dict[str, object]:
+    """Size and footprint of the DITS-G index, for dashboards and the CLI."""
     stats: dict[str, object] = {
         "schema": STATS_SCHEMA,
         "sources": len(index),
-        "tree_nodes": node_count,
         "rebuilds": index.rebuild_count,
-        "memory_bytes": node_count * _TREE_NODE_BYTES + len(index) * _SUMMARY_BYTES,
-        "shard_count": index.shard_count,
-        "shard_sizes": index.shard_sizes(),
+        "memory_bytes": len(index) * _SUMMARY_BYTES,
     }
     return dict(sorted(stats.items()))
 

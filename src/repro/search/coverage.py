@@ -70,9 +70,7 @@ __all__ = [
 class CoverageSearchStats:
     """Counters describing the work performed by one coverage search.
 
-    ``exact_distance_checks`` counts exact candidate-vs-member checks in
-    CoverageSearch, and candidate-vs-query checks in
-    :func:`find_connected_nodes`.
+    ``exact_distance_checks`` counts exact candidate-vs-member checks.
     """
 
     iterations: int = 0
@@ -147,7 +145,6 @@ def find_connected_nodes(  # parity-critical
     query: DatasetNode,
     delta: float,
     exclude: set[str] | None = None,
-    stats: CoverageSearchStats | None = None,
 ) -> list[DatasetNode]:
     """FindConnectSet (Algorithm 3, lines 14-26): datasets within ``delta`` of ``query``.
 
@@ -169,14 +166,12 @@ def find_connected_nodes(  # parity-critical
     slots: list[DatasetNode | None] = []
     pending_nodes: list[DatasetNode] = []
     pending_slots: list[int] = []
-    for entry, proven in _bounded_entries(root, query, delta, exclude or (), stats):
+    for entry, proven in _bounded_entries(root, query, delta, exclude or (), None):
         if not proven:
             pending_slots.append(len(slots))
             pending_nodes.append(entry)
         slots.append(entry if proven else None)
     if pending_nodes:
-        if stats is not None:
-            stats.exact_distance_checks += len(pending_nodes)
         mask = get_engine().within_delta_many(query, pending_nodes, delta)
         for slot, entry, ok in zip(pending_slots, pending_nodes, mask):
             if ok:

@@ -138,13 +138,9 @@ class TestUpdateDriver:
 
 class TestGlobalChurnDriver:
     def test_fig23_baseline_and_parity(self):
-        rows = fig23_global_index_churn(
-            source_counts=(40,), shard_counts=(4,), churn_ops=5, query_count=3
-        )
-        assert [row["variant"] for row in rows] == ["sharded-1", "sharded-4"]
+        rows = fig23_global_index_churn(source_counts=(40,), churn_ops=5, query_count=3)
+        assert [row["variant"] for row in rows] == ["one-tree", "table"]
         assert len({row["checksum"] for row in rows}) == 1
-
-    def test_fig23_rejects_one_shard_variant(self):
-        # An eager one-shard row would overwrite the deferred baseline's key.
-        with pytest.raises(ValueError, match="sharded-1"):
-            fig23_global_index_churn(source_counts=(40,), shard_counts=(1, 4))
+        # The tree rebuilds on the first query after each change; the table
+        # publishes once for the bulk registration and once per mutation.
+        assert [row["rebuilds"] for row in rows] == [1 + 5, 1 + 2 * 5]

@@ -1,16 +1,18 @@
-"""Thread-safety stress tests for the sharded DITS-G center.
+"""Thread-safety stress tests for the DITS-G center.
 
-The sharded global index rebuilds shard trees lazily, which turns queries
-into writers; these tests race concurrent ``candidate_sources`` calls from
-several threads against registration/unregistration churn, both on the raw
-index and through a full :class:`MultiSourceFramework`, and assert that
-nothing crashes, no source is lost and the final state answers queries
-exactly like a freshly built reference.  Mirrors the serial-vs-parallel
+The global index publishes a new summary table on every registration while
+queries read the previous one lock-free; these tests race concurrent
+``candidate_sources`` calls from several threads against
+registration/refresh/unregistration churn, both on the raw index and through
+a full :class:`MultiSourceFramework`, and assert that nothing crashes, no
+source is lost and the final state answers queries exactly like a freshly
+built reference.  Mirrors the serial-vs-parallel
 parity harness in ``tests/distributed/test_parallel_dispatch.py``.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -20,8 +22,7 @@ from repro.core.geometry import BoundingBox
 from repro.data.sources import SOURCE_PROFILES, build_source_datasets
 from repro.distributed.executor import ExecutionPolicy
 from repro.distributed.framework import MultiSourceFramework
-from repro.index.dits_global import SourceSummary
-from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+from repro.index.dits_global import DITSGlobalIndex, SourceSummary, summary_may_contain
 
 from summary_oracle import flat_reference
 
@@ -39,11 +40,9 @@ def random_summary(rng: np.random.Generator, ident: int) -> SourceSummary:
     )
 
 
-@pytest.mark.parametrize("defer_rebuild", [False, True], ids=["eager", "deferred"])
-def test_raw_index_queries_race_churn(defer_rebuild):
+def test_raw_index_queries_race_churn():
     """Concurrent candidate_sources vs register/unregister churn on the index."""
-    policy = ShardPolicy(shard_count=8, defer_rebuild=defer_rebuild)
-    index = ShardedDITSGlobalIndex(policy, leaf_capacity=4)
+    index = DITSGlobalIndex()
     seed_rng = np.random.default_rng(0)
     base = [random_summary(seed_rng, i) for i in range(120)]
     index.register_all(base)
@@ -58,28 +57,52 @@ def test_raw_index_queries_race_churn(defer_rebuild):
                 cx = rng.uniform(REGION.min_x, REGION.max_x)
                 cy = rng.uniform(REGION.min_y, REGION.max_y)
                 rect = BoundingBox(cx - 2, cy - 2, cx + 2, cy + 2)
-                seen = [c.source_id for c in index.candidate_sources(rect, delta_geo=1.5)]
-                # A migrating source must never be routed to twice.
-                assert len(seen) == len(set(seen))
-                assert all(source_id.startswith("s") for source_id in seen)
+                found = index.candidate_sources(rect, delta_geo=1.5)
+                seen = [c.source_id for c in found]
+                # One published table: no source twice, in id order, and
+                # every candidate passes the predicate.
+                assert seen == sorted(set(seen))
+                assert all(
+                    summary_may_contain(c.rect, rect, rect.center, rect.radius, 1.5)
+                    for c in found
+                )
         except BaseException as exc:  # noqa: BLE001 - repanic in main thread
             errors.append(exc)
 
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     workers = [threading.Thread(target=query_loop, args=(17 + t,)) for t in range(4)]
     for worker in workers:
         worker.start()
+    try:
+        live = churn(index, [s.source_id for s in base])
+    finally:
+        stop.set()
+        sys.setswitchinterval(previous_interval)
+        for worker in workers:
+            worker.join(timeout=30)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors, errors[0]
 
+    # Final state must answer exactly the flat predicate over the live summaries.
+    assert [s.source_id for s in index.all_summaries()] == sorted(live)
+    probe = BoundingBox(REGION.min_x, REGION.min_y, REGION.max_x, REGION.max_y)
+    live_summaries = [index.summary_of(source_id) for source_id in live]
+    assert index.candidate_sources(probe, 2.0) == flat_reference(live_summaries, probe, 2.0)
+
+
+def churn(index: DITSGlobalIndex, live: list[str]) -> list[str]:
+    """400 seeded unregister/refresh/register steps; returns the live ids."""
     churn_rng = np.random.default_rng(99)
-    live = [s.source_id for s in base]
-    next_id = len(base)
+    next_id = 1000
     for _ in range(400):
         op = churn_rng.random()
         if op < 0.35 and len(live) > 20:
             victim = live.pop(int(churn_rng.integers(len(live))))
             index.unregister(victim)
         elif op < 0.65 and live:
-            # Refresh with a far-moved rect: forces cross-shard
-            # migrations to race the concurrent queries.
+            # Refresh with a far-moved rect: row replaces race the
+            # concurrent queries.
             victim = live[int(churn_rng.integers(len(live)))]
             moved = random_summary(churn_rng, 0)
             index.register(
@@ -90,17 +113,53 @@ def test_raw_index_queries_race_churn(defer_rebuild):
             next_id += 1
             live.append(summary.source_id)
             index.register(summary)
-    stop.set()
-    for worker in workers:
-        worker.join(timeout=30)
+    return live
+
+
+@pytest.mark.parametrize("writers", [2, 4, 8])
+def test_concurrent_registrations_lose_nothing(writers):
+    """Writers on several threads at once: no publish drops another's rows."""
+    index = DITSGlobalIndex()
+    index.register_all(random_summary(np.random.default_rng(1), i) for i in range(40))
+    errors: list[BaseException] = []
+
+    def writer(offset: int) -> None:
+        rng = np.random.default_rng(offset)
+        try:
+            for i in range(offset, offset + 60):
+                index.register(random_summary(rng, i))
+                if i % 3 == 0:
+                    index.unregister(f"s{i:05d}")
+                else:
+                    index.register(random_summary(rng, i))  # refresh, moved rect
+        except BaseException as exc:  # noqa: BLE001 - repanic in main thread
+            errors.append(exc)
+
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    workers = [threading.Thread(target=writer, args=(1000 * (t + 1),)) for t in range(writers)]
+    try:
+        for worker in workers:
+            worker.start()
+    finally:
+        for worker in workers:
+            worker.join(timeout=60)
+        sys.setswitchinterval(previous_interval)
+    assert not any(worker.is_alive() for worker in workers)
     assert not errors, errors[0]
 
-    # Final state must answer exactly the flat predicate over the live summaries.
-    assert index.source_ids() == sorted(live)
-    assert sum(index.shard_sizes()) == len(live)
+    expected = [f"s{i:05d}" for i in range(40)] + [
+        f"s{i:05d}"
+        for t in range(writers)
+        for i in range(1000 * (t + 1), 1000 * (t + 1) + 60)
+        if i % 3
+    ]
+    summaries = list(index.all_summaries())
+    assert [s.source_id for s in summaries] == sorted(expected)
+    assert index.rebuild_count == 1 + writers * 60 * 2  # one publish per call, none lost
     probe = BoundingBox(REGION.min_x, REGION.min_y, REGION.max_x, REGION.max_y)
-    live_summaries = [index.summary_of(source_id) for source_id in live]
-    assert index.candidate_sources(probe, 2.0) == flat_reference(live_summaries, probe, 2.0)
+    for delta in (0.0, 2.0):
+        assert index.candidate_sources(probe, delta) == flat_reference(summaries, probe, delta)
 
 
 def _federation_sources(count: int, seed: int):
@@ -117,7 +176,6 @@ def test_center_queries_race_registrations():
     framework = MultiSourceFramework(
         theta=10,
         execution=ExecutionPolicy(max_workers=6),
-        shard_policy=ShardPolicy(shard_count=8),
     )
     sources = list(_federation_sources(10, seed=41))
     for name, datasets in sources[:4]:
@@ -168,7 +226,6 @@ def test_center_queries_race_registrations():
     reference = MultiSourceFramework(
         theta=10,
         execution=ExecutionPolicy.serial(),
-        shard_policy=ShardPolicy(shard_count=1),
     )
     for name, datasets in sources:
         reference.add_source(name, datasets)

@@ -18,7 +18,6 @@ from repro.core.errors import EmptyDatasetError
 from repro.core.grid import Grid
 from repro.distributed.framework import MultiSourceFramework
 from repro.index.dits import DITSLocalIndex
-from repro.index.dits_global_sharded import ShardPolicy
 from repro.search.coverage_baselines import StandardGreedy
 from repro.search.overlap import OverlapSearch
 
@@ -76,10 +75,10 @@ def test_federated_ojsp_breaks_score_ties_by_dataset_id(order):
     data=st.data(),
 )
 def test_federated_ojsp_equals_one_dits_l_over_the_union(corpus, query_cells, data):
-    """Positive-score OJSP answers ignore the split, registration order and sharding.
+    """Positive-score OJSP answers ignore the split and registration order.
 
     Unique dataset ids are cut into 1-4 sources registered in a random order
-    over a random DITS-G shard count and source leaf capacity; the positive
+    with a random source leaf capacity; the positive
     entries must equal one DITS-L over the union corpus, pair for pair.
     """
     nodes = [
@@ -100,7 +99,6 @@ def test_federated_ojsp_equals_one_dits_l_over_the_union(corpus, query_cells, da
     framework = federate(
         {source_id: held[source_id] for source_id in order},
         leaf_capacity=data.draw(st.integers(2, 4), label="leaf_capacity"),
-        shard_policy=ShardPolicy(shard_count=data.draw(st.integers(1, 4), label="shards")),
     )
     try:
         federated = framework.overlap_search(query, k)

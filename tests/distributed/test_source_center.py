@@ -147,7 +147,7 @@ class TestDataCenter:
         center = DataCenter(grid=grid, channel=channel)
         center.register_source(west_source)
         assert channel.stats.bytes_to_center > 0
-        assert "west" in center.global_index
+        assert center.global_index.summary_of("west").source_id == "west"
 
     def test_overlap_routes_only_to_relevant_source(self, grid, west_source, east_source):
         channel = SimulatedChannel()

@@ -1,10 +1,10 @@
-"""Edge-case behaviour of DITS-G across shard configurations.
+"""Edge-case behaviour of the DITS-G summary table.
 
-Every test runs against several configurations (single shard, many shards,
-deferred rebuilds), so they cannot drift apart on the awkward inputs: empty
-indexes, every summary landing in one shard, re-registering an existing
-source and unregistering the last one.  ``sharded-1-deferred`` is the
-paper's single lazily rebuilt tree, the baseline of Fig. 23.
+The awkward inputs: an empty index, coincident and degenerate summaries,
+re-registering an existing source and unregistering the last one.  Every
+test runs on a fresh index, on a recycled one, whose table went through
+appends, row replaces and swap-removes back to empty, and on a drained one,
+bulk-loaded in one call and emptied from the last row down.
 """
 
 from __future__ import annotations
@@ -13,26 +13,32 @@ import pytest
 
 from repro.core.errors import SourceNotFoundError
 from repro.core.geometry import BoundingBox
-from repro.index.dits_global import SourceSummary
-from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+from repro.index.dits_global import DITSGlobalIndex, SourceSummary
 
 from summary_oracle import flat_reference
 
-VARIANTS = {
-    "sharded-1": lambda: ShardedDITSGlobalIndex(ShardPolicy(shard_count=1), leaf_capacity=2),
-    "sharded-1-deferred": lambda: ShardedDITSGlobalIndex(
-        ShardPolicy(shard_count=1, defer_rebuild=True), leaf_capacity=2
-    ),
-    "sharded-5": lambda: ShardedDITSGlobalIndex(ShardPolicy(shard_count=5), leaf_capacity=2),
-    "sharded-16-deferred": lambda: ShardedDITSGlobalIndex(
-        ShardPolicy(shard_count=16, defer_rebuild=True), leaf_capacity=2
-    ),
-}
+
+def recycled() -> DITSGlobalIndex:
+    index = DITSGlobalIndex()
+    index.register_all(summary(f"old{i}", i, i, i + 1, i + 1) for i in range(12))
+    for i in (3, 11, 0, 7):
+        index.register(summary(f"old{i}", -i, -i, 1 - i, 1 - i))
+    for i in (4, 11, 0, 9, 1, 2, 3, 5, 6, 7, 8, 10):
+        index.unregister(f"old{i}")
+    return index
 
 
-@pytest.fixture(params=sorted(VARIANTS), ids=sorted(VARIANTS))
+def drained() -> DITSGlobalIndex:
+    index = DITSGlobalIndex()
+    index.register_all(summary(f"old{i}", i, 0, i + 1, 1) for i in range(30))
+    for i in reversed(range(30)):
+        index.unregister(f"old{i}")
+    return index
+
+
+@pytest.fixture(params=["fresh", "recycled", "drained"])
 def index(request):
-    return VARIANTS[request.param]()
+    return {"fresh": DITSGlobalIndex, "recycled": recycled, "drained": drained}[request.param]()
 
 
 def summary(source_id: str, min_x, min_y, max_x, max_y, count=5) -> SourceSummary:
@@ -51,10 +57,7 @@ class TestEmptyIndex:
 
     def test_registry_empty(self, index):
         assert len(index) == 0
-        assert index.source_ids() == []
         assert list(index.all_summaries()) == []
-        assert index.node_count() == 0
-        assert "anything" not in index
 
     def test_unregister_unknown_raises(self, index):
         with pytest.raises(SourceNotFoundError):
@@ -72,7 +75,6 @@ class TestLastSource:
         index.unregister("only")
         assert len(index) == 0
         assert index.candidate_sources(BoundingBox(1, 1, 3, 3)) == []
-        assert index.node_count() == 0
         # The index remains usable after being emptied.
         index.register(summary("again", 5, 5, 6, 6))
         assert [s.source_id for s in index.candidate_sources(EVERYWHERE)] == ["again"]
@@ -98,23 +100,18 @@ class TestReRegistration:
 
 
 class TestDegenerateDistributions:
-    def test_coincident_pivots_land_together(self, index):
-        # Identical MBRs -> identical pivots; in a sharded index they all
-        # land in one shard, every other shard stays empty.
-        for i in range(10):
+    def test_coincident_pivots_all_match(self, index):
+        # Identical MBRs registered in reverse id order come back in id order.
+        for i in reversed(range(10)):
             index.register(summary(f"stack{i}", 7, 7, 9, 9))
         hits = index.candidate_sources(BoundingBox(8, 8, 8.5, 8.5))
         assert [s.source_id for s in hits] == [f"stack{i}" for i in range(10)]
-        sizes = index.shard_sizes()
-        assert sorted(sizes, reverse=True)[0] == 10
-        assert sum(1 for size in sizes if size) == 1
 
-    def test_more_shards_than_sources(self, index):
-        index.register(summary("a", 0, 0, 1, 1))
+    def test_far_apart_sources(self, index):
         index.register(summary("b", 50, 50, 51, 51))
+        index.register(summary("a", 0, 0, 1, 1))
         hits = index.candidate_sources(EVERYWHERE)
         assert [s.source_id for s in hits] == ["a", "b"]
-        assert sum(index.shard_sizes()) == 2
 
     def test_delta_reaches_across_empty_space(self, index):
         index.register(summary("west", 0, 0, 1, 1))
@@ -128,8 +125,7 @@ class TestDegenerateDistributions:
 
     def test_matches_flat_reference(self, index):
         # Stacked, touching, degenerate and far-apart summaries, plus a row
-        # whose elongated tree nodes sit farther from a probe past its end
-        # than the row's last summary does: the tree answers exactly the
+        # of summaries probed past its end: the table answers exactly the
         # flat predicate at every threshold.
         summaries = [summary(f"stack{i}", 7, 7, 9, 9) for i in range(4)]
         summaries += [summary("edge", 9, 9, 12, 12), summary("far", 80, -40, 81, -39)]

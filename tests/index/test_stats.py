@@ -9,8 +9,7 @@ from repro.core.dataset import DatasetNode
 from repro.core.geometry import BoundingBox
 from repro.core.grid import Grid
 from repro.index import DATASET_INDEX_CLASSES
-from repro.index.dits_global import SourceSummary
-from repro.index.dits_global_sharded import ShardedDITSGlobalIndex, ShardPolicy
+from repro.index.dits_global import DITSGlobalIndex, SourceSummary
 from repro.index.stats import global_index_stats, index_memory_bytes
 
 GRID = Grid(theta=8, space=BoundingBox(0, 0, 256, 256))
@@ -87,34 +86,18 @@ def global_summaries(count: int) -> list[SourceSummary]:
 
 
 class TestGlobalIndexStats:
-    def test_sharded_stats(self):
-        index = ShardedDITSGlobalIndex(ShardPolicy(shard_count=4), leaf_capacity=2)
+    def test_table_stats(self):
+        index = DITSGlobalIndex()
         index.register_all(global_summaries(8))
+        index.unregister("g3")
         stats = global_index_stats(index)
-        assert stats["sources"] == 8
-        assert stats["shard_count"] == 4
-        assert sum(stats["shard_sizes"]) == 8
-        assert stats["tree_nodes"] == index.node_count()
-        assert stats["rebuilds"] >= 1
+        assert stats["sources"] == 7
+        assert stats["rebuilds"] == 2  # one publish per registration call
         assert stats["memory_bytes"] > 0
-
-    def test_deferred_stats_flush_once(self):
-        index = ShardedDITSGlobalIndex(
-            ShardPolicy(shard_count=4, defer_rebuild=True), leaf_capacity=2
-        )
-        index.register_all(global_summaries(8))
-        assert index.rebuild_count == 0
-        stats = global_index_stats(index)
-        # Reporting builds the stale shards a query would build, once each.
-        occupied = sum(1 for size in stats["shard_sizes"] if size)
-        assert stats["rebuilds"] == occupied
-        assert stats["tree_nodes"] == index.node_count()
         assert global_index_stats(index) == stats
 
-    def test_empty_indexes(self):
-        for shard_count in (1, 4):
-            index = ShardedDITSGlobalIndex(ShardPolicy(shard_count=shard_count))
-            stats = global_index_stats(index)
-            assert stats["sources"] == 0
-            assert stats["tree_nodes"] == 0
-            assert stats["memory_bytes"] == 0
+    def test_empty_index(self):
+        stats = global_index_stats(DITSGlobalIndex())
+        assert stats["sources"] == 0
+        assert stats["rebuilds"] == 0
+        assert stats["memory_bytes"] == 0

@@ -27,7 +27,7 @@ def node(name: str, cells: set[int]) -> DatasetNode:
 
 def make_leaf(entries: list[DatasetNode]) -> LeafNode:
     rect = BoundingBox.union_of(entry.rect for entry in entries)
-    return LeafNode(rect, entries, capacity=len(entries))
+    return LeafNode(rect, entries)
 
 
 def leaf_intersection_bounds(leaf: LeafNode, query: set[int] | frozenset[int]) -> tuple[int, int]:

@@ -70,15 +70,6 @@ class TestFindConnectSet:
         with pytest.raises(InvalidParameterError):
             find_connected_nodes(index.root, nodes[0], -1.0)
 
-    def test_stats_counters_move(self):
-        from repro.search.coverage import CoverageSearchStats
-
-        nodes = random_nodes(50, seed=4)
-        index = build_index(nodes)
-        stats = CoverageSearchStats()
-        find_connected_nodes(index.root, nodes[0], 3.0, stats=stats)
-        assert stats.subtree_accepts + stats.subtree_rejects + stats.exact_distance_checks > 0
-
 
 class TestCoverageSearchBasics:
     def test_empty_index(self):

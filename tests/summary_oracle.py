@@ -1,10 +1,10 @@
 """Flat reference for DITS-G routing: the parity suites' oracle.
 
-The specification of ``ShardedDITSGlobalIndex.candidate_sources`` is the
-Section VI-A predicate applied to every live summary, with no tree at all:
-:func:`flat_reference` is that filter, ordered by ``source_id`` like the
-index's answer.  Differential suites compare the index against it for every
-shard count, so a bug in the shared tree traversal cannot hide.
+The specification of ``DITSGlobalIndex.candidate_sources`` is the Section
+VI-A predicate applied to every live summary, one by one: :func:`flat_reference`
+is that filter, ordered by ``source_id`` like the index's answer.  The
+differential suites compare the index against it after every registration
+step, so a stale table row or a numpy mask that drops a row cannot hide.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ class TestParser:
     def test_federate_defaults(self):
         args = build_parser().parse_args(["federate", "--corpus", "c", "--query", "q"])
         assert args.sources == 3
-        assert args.shards == 4
         assert args.mode == "overlap"
 
 
@@ -102,14 +101,13 @@ class TestSearchCommands:
         assert "corpus statistics" in output
         assert "build_ms" in output
 
-    def test_federate_overlap_reports_shards(self, corpus_dir, query_file, capsys):
+    def test_federate_overlap_reports_index(self, corpus_dir, query_file, capsys):
         exit_code = main(
             [
                 "federate",
                 "--corpus", str(corpus_dir),
                 "--query", str(query_file),
                 "--sources", "3",
-                "--shards", "5",
                 "--k", "3",
             ]
         )
@@ -129,7 +127,6 @@ class TestSearchCommands:
                 "--query", str(query_file),
                 "--mode", "coverage",
                 "--sources", "2",
-                "--shards", "2",
                 "--k", "3",
                 "--delta", "8",
             ]
@@ -140,7 +137,7 @@ class TestSearchCommands:
         assert "marginal_gain" in output
 
     def test_federate_matches_single_source_overlap(self, corpus_dir, query_file, capsys):
-        """One source, one shard reproduces the single-machine ranking."""
+        """One source reproduces the single-machine ranking."""
         assert main(
             ["overlap", "--corpus", str(corpus_dir), "--query", str(query_file), "--k", "3"]
         ) == 0
@@ -151,7 +148,6 @@ class TestSearchCommands:
                 "--corpus", str(corpus_dir),
                 "--query", str(query_file),
                 "--sources", "1",
-                "--shards", "1",
                 "--k", "3",
             ]
         ) == 0
@@ -164,15 +160,14 @@ class TestSearchCommands:
         assert ranked(single), "expected ranked dataset IDs in the single-source table"
         assert ranked(federated) == ranked(single)
 
-    @pytest.mark.parametrize("flag", ["--sources", "--shards"])
-    def test_federate_rejects_zero_counts(self, corpus_dir, query_file, flag):
+    def test_federate_rejects_zero_sources(self, corpus_dir, query_file):
         with pytest.raises(SystemExit):
             main(
                 [
                     "federate",
                     "--corpus", str(corpus_dir),
                     "--query", str(query_file),
-                    flag, "0",
+                    "--sources", "0",
                 ]
             )
 
